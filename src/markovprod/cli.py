@@ -8,7 +8,9 @@ then rename).
 
 Exit codes: 0 success, 1 verification failure (a split certificate is
 missing or falsified, an oracle row fails, or a coding invariance residual
-exceeds its bound), 2 configuration error.
+exceeds its bound), 2 configuration or other domain error, 3 unexpected
+internal error (the traceback goes to stderr), so a crash never reads as a
+failed verification.
 """
 
 from __future__ import annotations
@@ -473,42 +475,52 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        config = load_config(args.config)
-        sys_ = build_system(config)
-        seed = config["seed"] if args.seed is None else args.seed
-        outdir = args.out if args.out is not None else config["out"]
-        os.makedirs(outdir, exist_ok=True)
-
-        if args.subcommand == "all":
-            results = {}
-            produced = []
-            ok = True
-            for block_name in EXPERIMENT_BLOCKS:
-                if block_name not in config["experiments"]:
-                    continue
-                name = _ALL_ORDER[block_name]
-                if name == "split-check" and config["experiments"]["split"].get("word_a") is None:
-                    name = "split-search"
-                block_results, block_ok, files = _dispatch(
-                    name, sys_, config, outdir, seed, args.exact
-                )
-                results[name] = block_results
-                produced.extend(files)
-                ok = ok and block_ok
-        else:
-            results, ok, produced = _dispatch(
-                args.subcommand, sys_, config, outdir, seed, args.exact
-            )
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except MarkovProdError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except Exception:
+        import traceback
+
+        traceback.print_exc(file=_sys.stderr)
+        print("internal error: the run crashed (traceback above)", file=_sys.stderr)
+        return 3
+
+
+def _run(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
+    config = load_config(args.config)
+    sys_ = build_system(config)
+    seed = config["seed"] if args.seed is None else args.seed
+    outdir = args.out if args.out is not None else config["out"]
+    os.makedirs(outdir, exist_ok=True)
+
+    if args.subcommand == "all":
+        results = {}
+        produced = []
+        ok = True
+        for block_name in EXPERIMENT_BLOCKS:
+            if block_name not in config["experiments"]:
+                continue
+            name = _ALL_ORDER[block_name]
+            if name == "split-check" and config["experiments"]["split"].get("word_a") is None:
+                name = "split-search"
+            block_results, block_ok, files = _dispatch(
+                name, sys_, config, outdir, seed, args.exact
+            )
+            results[name] = block_results
+            produced.extend(files)
+            ok = ok and block_ok
+    else:
+        results, ok, produced = _dispatch(
+            args.subcommand, sys_, config, outdir, seed, args.exact
+        )
 
     summary = {
         "version": __version__,

@@ -23,6 +23,11 @@ class NotPrimitive(MarkovProdError):
     """Operation requires a primitive transition matrix."""
 
 
+class NumericalFailure(MarkovProdError, ArithmeticError):
+    """A numerical method failed: a singular solve, a residual above its
+    tolerance, or an iteration that did not converge."""
+
+
 class ZeroStationaryEntry(MarkovProdError):
     """Stationary vector has a zero entry where positivity is required."""
 

@@ -307,12 +307,6 @@ def monotone_classes(sys: MapSystem) -> tuple[MonotoneType, ...]:
     return tuple(found)
 
 
-def classify_monotone_type(sys: MapSystem) -> MonotoneType | None:
-    """First compatible sign class, or None when the system is not monotone."""
-    classes = monotone_classes(sys)
-    return classes[0] if classes else None
-
-
 def in_order_cone(x, y, signs: tuple[str, ...]) -> bool:
     """Strict order x < y coordinatewise, with '-' coordinates reversed."""
     return all(

@@ -13,12 +13,20 @@ masses plus per-coordinate transport distances of the normalized sections;
 it detects mass misallocation and marginal displacement, which is what the
 stability statement needs at finite resolution, but it is strictly weaker
 than testing all continuous observables.
+
+A measure is treated as immutable once built: its per-state masses (exact
+fsums) and its sections (for each state and coordinate, the stably sorted
+values and the cumulative normalized weights) are computed on first use
+and memoized on the measure.  A stability run therefore sorts its fixed
+target once, and each step's measure is summed once, however many
+distances and mass gaps read it; the values are those of a fresh
+computation, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,12 +40,16 @@ TARGET_DEPTH = 64
 
 @dataclass(frozen=True, eq=False)
 class StateTaggedMeasure:
-    """Weighted particles (state, point, weight) with unit total mass."""
+    """Weighted particles (state, point, weight) with unit total mass.
+
+    The arrays must not be modified after construction: derived quantities
+    are memoized on first use."""
 
     states: np.ndarray
     points: np.ndarray
     weights: np.ndarray
     k: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_particles(self) -> int:
@@ -48,11 +60,29 @@ class StateTaggedMeasure:
         return self.points.shape[1]
 
     def state_mass(self) -> np.ndarray:
-        # fsum keeps the per-state totals exact to the last ulp, so the
-        # mass-evolution identity survives any particle count.
-        return np.array(
-            [math.fsum(self.weights[self.states == j + 1]) for j in range(self.k)]
-        )
+        masses = self._memo.get("mass")
+        if masses is None:
+            # fsum keeps the per-state totals exact to the last ulp, so the
+            # mass-evolution identity survives any particle count.  It sees
+            # the same doubles in a list as in the array, only faster.
+            masses = np.array(
+                [math.fsum(self.weights[self.states == j + 1].tolist()) for j in range(self.k)]
+            )
+            self._memo["mass"] = masses
+        return masses.copy()
+
+    def sections(self, j: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per coordinate, the normalized section of state j (0-based) as
+        prepared by `_section`; needs a positive mass on state j."""
+        key = ("sections", j)
+        found = self._memo.get(key)
+        if found is None:
+            sel = self.states == j + 1
+            w = self.weights[sel] / self.state_mass()[j]
+            pts = self.points[sel]
+            found = tuple(_section(pts[:, s], w) for s in range(self.dim))
+            self._memo[key] = found
+        return found
 
 
 def make_measure(sys: MapSystem, states, points, weights) -> StateTaggedMeasure:
@@ -187,9 +217,10 @@ def resample(
         pts = mu.points[sel]
         cum = np.cumsum(w)
         # cum[-1] carries sequential-summation drift of order n*eps; the
-        # emitted masses must not inherit it, so the stratum mass is an
-        # exact fsum and the cumsum serves only to place the selections.
-        mass = math.fsum(w)
+        # emitted masses must not inherit it, so the stratum mass is the
+        # exact fsum from state_mass and the cumsum serves only to place
+        # the selections.
+        mass = float(masses[j - 1])
         offsets = (rng.random() + np.arange(n_j)) / n_j * min(mass, float(cum[-1]))
         idx = np.minimum(np.searchsorted(cum, offsets, side="right"), w.shape[0] - 1)
         states_out.append(np.full(n_j, j, dtype=np.int64))
@@ -214,6 +245,41 @@ class TargetEstimate:
         return float(self.diameters.max())
 
 
+def _sample_target(
+    sys: MapSystem, n_samples: int, depth: int, seed: int
+) -> tuple[np.ndarray | None, StateTaggedMeasure]:
+    """The inverse-measure words of a target estimate (None at depth 0) and
+    the measure of their coded points."""
+    if sys.shift.classification != PRIMITIVE:
+        raise NotPrimitive("target estimation requires a primitive shift")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    anchor = np.asarray(sys.ambient.center(), dtype=float)
+    weights = np.full(n_samples, 1.0 / n_samples)
+    if depth == 0:
+        # Zero-depth fibres are the whole box: every sample sits at the
+        # anchor, tagged by a stationary draw.
+        rng = np.random.default_rng(seed)
+        states = 1 + np.minimum(
+            np.searchsorted(np.cumsum(sys.shift.p), rng.random(n_samples), side="right"),
+            sys.k - 1,
+        )
+        return None, make_measure(sys, states, np.tile(anchor, (n_samples, 1)), weights)
+    words = sample_words(sys.shift, n_samples, depth, inverse=True, seed=seed)
+    points = batch_reverse_points(sys, words, anchor)
+    return words, make_measure(sys, words[:, 0], points, weights)
+
+
+def target_measure(
+    sys: MapSystem, n_samples: int, depth: int = TARGET_DEPTH, seed: int = 0
+) -> StateTaggedMeasure:
+    """The measure of `estimate_target` with the same arguments, without the
+    enclosures that certify it."""
+    return _sample_target(sys, n_samples, depth, seed)[1]
+
+
 def estimate_target(
     sys: MapSystem, n_samples: int, depth: int = TARGET_DEPTH, seed: int = 0
 ) -> TargetEstimate:
@@ -223,61 +289,32 @@ def estimate_target(
     composition to the box center, and tags each sample with its first
     symbol.  The chained enclosure diameter of each word bounds how far the
     returned point can sit from the true limit point of any extension."""
-    if sys.shift.classification != PRIMITIVE:
-        raise NotPrimitive("target estimation requires a primitive shift")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    anchor = np.asarray(sys.ambient.center(), dtype=float)
-    if depth == 0:
-        # Zero-depth fibres are the whole box: every sample sits at the
-        # anchor, tagged by a stationary draw.
-        rng = np.random.default_rng(seed)
-        states = 1 + np.minimum(
-            np.searchsorted(np.cumsum(sys.shift.p), rng.random(n_samples), side="right"),
-            sys.k - 1,
-        )
+    words, measure = _sample_target(sys, n_samples, depth, seed)
+    if words is None:
         ambient_diam = float(
             (np.asarray(sys.ambient.hi, float) - np.asarray(sys.ambient.lo, float)).sum()
-        )
-        measure = make_measure(
-            sys,
-            states,
-            np.tile(anchor, (n_samples, 1)),
-            np.full(n_samples, 1.0 / n_samples),
         )
         return TargetEstimate(
             measure=measure, diameters=np.full(n_samples, ambient_diam), depth=0
         )
-    words = sample_words(sys.shift, n_samples, depth, inverse=True, seed=seed)
-    points = batch_reverse_points(sys, words, anchor)
     lo, hi = batch_reverse_boxes(sys, words)
-    diameters = (hi - lo).sum(axis=1)
-    measure = make_measure(
-        sys,
-        words[:, 0],
-        points,
-        np.full(n_samples, 1.0 / n_samples),
-    )
-    return TargetEstimate(measure=measure, diameters=diameters, depth=depth)
+    return TargetEstimate(measure=measure, diameters=(hi - lo).sum(axis=1), depth=depth)
 
 
-def wasserstein_1d(x1, w1, x2, w2) -> float:
-    """Exact transport distance of two weighted one-dimensional samples.
+def _section(x, w) -> tuple[np.ndarray, np.ndarray]:
+    """A weighted one-dimensional sample prepared for transport: its values
+    stably sorted, and the cumulative sums of the weights in that order."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    order = np.argsort(x, kind="stable")
+    return x[order], np.cumsum(w[order])
 
-    Both weight vectors must sum to 1.  Computed as the integral of the
-    quantile gap over a merged breakpoint grid."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    o1 = np.argsort(x1, kind="stable")
-    o2 = np.argsort(x2, kind="stable")
-    x1, w1 = x1[o1], w1[o1]
-    x2, w2 = x2[o2], w2[o2]
-    c1 = np.cumsum(w1)
-    c2 = np.cumsum(w2)
+
+def _transport(sec1, sec2) -> float:
+    """Transport distance of two prepared sections: the integral of the
+    quantile gap over the merged breakpoint grid."""
+    x1, c1 = sec1
+    x2, c2 = sec2
     grid = np.union1d(c1, c2)
     grid = grid[grid <= min(c1[-1], c2[-1]) + 1e-15]
     prev = np.concatenate(([0.0], grid[:-1]))
@@ -286,6 +323,14 @@ def wasserstein_1d(x1, w1, x2, w2) -> float:
     q1 = x1[np.minimum(np.searchsorted(c1, mid, side="left"), x1.shape[0] - 1)]
     q2 = x2[np.minimum(np.searchsorted(c2, mid, side="left"), x2.shape[0] - 1)]
     return float(np.sum(np.abs(q1 - q2) * du))
+
+
+def wasserstein_1d(x1, w1, x2, w2) -> float:
+    """Exact transport distance of two weighted one-dimensional samples.
+
+    Both weight vectors must sum to 1.  Computed as the integral of the
+    quantile gap over a merged breakpoint grid."""
+    return _transport(_section(x1, w1), _section(x2, w2))
 
 
 def weak_star_distance(mu: StateTaggedMeasure, nu: StateTaggedMeasure) -> float:
@@ -305,14 +350,8 @@ def weak_star_distance(mu: StateTaggedMeasure, nu: StateTaggedMeasure) -> float:
         overlap = min(float(m1[j]), float(m2[j]))
         if overlap <= 0.0:
             continue
-        sel1 = mu.states == j + 1
-        sel2 = nu.states == j + 1
-        w1 = mu.weights[sel1] / m1[j]
-        w2 = nu.weights[sel2] / m2[j]
-        for s in range(mu.dim):
-            total += overlap * wasserstein_1d(
-                mu.points[sel1, s], w1, nu.points[sel2, s], w2
-            )
+        for sec1, sec2 in zip(mu.sections(j), nu.sections(j)):
+            total += overlap * _transport(sec1, sec2)
     return total
 
 

@@ -22,6 +22,7 @@ from .errors import (
     InadmissibleWord,
     InvalidMatrix,
     NotIrreducible,
+    NumericalFailure,
     ZeroStationaryEntry,
 )
 
@@ -124,12 +125,15 @@ def stationary_vector(matrix) -> np.ndarray:
     A[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
-    p = np.linalg.solve(A, rhs)
+    try:
+        p = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"stationary solve failed: {exc}") from exc
     residual = float(np.max(np.abs(p @ P - p)))
     if residual > STATIONARY_TOL:
-        raise ArithmeticError(f"stationary solve residual {residual!r} exceeds {STATIONARY_TOL}")
+        raise NumericalFailure(f"stationary solve residual {residual!r} exceeds {STATIONARY_TOL}")
     if np.any(p <= 0.0):
-        raise ArithmeticError("stationary vector of an irreducible matrix must be positive")
+        raise NumericalFailure("stationary vector of an irreducible matrix must be positive")
     p.setflags(write=False)
     return p
 
@@ -152,7 +156,7 @@ def stationary_vector_power(matrix, tol: float = 1e-14, max_iter: int = 200_000)
         if np.max(np.abs(q - p)) < tol:
             return q
         p = q
-    raise ArithmeticError(f"power iteration did not converge within {max_iter} steps")
+    raise NumericalFailure(f"power iteration did not converge within {max_iter} steps")
 
 
 def inverse_transition(matrix, p=None) -> np.ndarray:

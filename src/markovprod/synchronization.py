@@ -7,6 +7,13 @@ same maps, so the true image diameter is bracketed.  Rates are fitted on
 the upper curve only.  Fibre (reverse-order) enclosures certify weak
 hyperbolicity sample-wise, and the coding point of a finite word comes with
 the enclosure diameter as its error bound.
+
+The Birkhoff orbit is sequential and runs in fixed-length chunks: numpy
+draws each chunk's uniforms and tabulates its next states, and one Python
+loop walks the table and applies the maps with the same scalar float
+expressions as a step-by-step evaluation.  Averages are therefore
+bit-identical to the plain per-step loop, at a fraction of its cost and
+without any array as long as the orbit.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import numpy as np
 
 from .errors import DegenerateCurve, NoRowPositiveState, NotPrimitive
 from .maps import (
-    AffineMap,
     MapSystem,
     MoebiusMap,
     batch_reverse_boxes,
@@ -255,16 +261,84 @@ def test_function(spec):
     raise ValueError(f"unknown test function {spec!r}")
 
 
-def _fast_apply(f):
-    if isinstance(f, MoebiusMap):
-        a, b, c, d = f.a, f.b, f.c, f.d
-        return lambda x: ((a * x[0] + b) / (c * x[0] + d),)
-    assert isinstance(f, AffineMap)
-    rows = f.matrix
-    off = f.offset
-    return lambda x: tuple(
-        o + sum(a * v for a, v in zip(row, x)) for row, o in zip(rows, off)
-    )
+# Orbit steps per chunk.  Each chunk draws its own uniforms and builds its
+# own next-state table, so memory does not grow with the orbit length.
+_CHUNK = 16384
+
+
+def _orbit_chunk(sys: MapSystem, state: int, table: list[list[int]], pt: tuple):
+    """Walk one chunk of the orbit from `pt`, entering state `table[i][t]`
+    at chunk step t when the previous state is i (0-based), starting from
+    `state`.
+
+    Returns the visited points as one list per coordinate, plus the last
+    state.  Each map is evaluated with the scalar expressions of
+    `maps.evaluate_map`, so the points are bit-identical to a step-by-step
+    evaluation."""
+    maps = sys.maps
+    steps = range(len(table[0]))
+    s = state
+    if sys.dim == 1:
+        # x -> o + (0 + a x) is evaluated as (a x + (o + 0.0)) / (0.0 x + 1.0):
+        # the denominator is exactly 1.0, and adding 0.0 to o turns -0.0
+        # into 0.0 as the `0 +` of the affine form does, so every bit agrees.
+        coeffs = [
+            (f.a, f.b, f.c, f.d)
+            if isinstance(f, MoebiusMap)
+            else (f.matrix[0][0], f.offset[0] + 0.0, 0.0, 1.0)
+            for f in maps
+        ]
+        (x0,) = pt
+        xs = []
+        push = xs.append
+        for t in steps:
+            s = table[s][t]
+            a, b, c, d = coeffs[s]
+            x0 = (a * x0 + b) / (c * x0 + d)
+            push(x0)
+        return (xs,), s
+    if sys.dim == 2:
+        coeffs = [(*f.matrix[0], *f.matrix[1], *f.offset) for f in maps]
+        x0, x1 = pt
+        xs0, xs1 = [], []
+        push0, push1 = xs0.append, xs1.append
+        for t in steps:
+            s = table[s][t]
+            a00, a01, a10, a11, o0, o1 = coeffs[s]
+            x0, x1 = o0 + (0 + a00 * x0 + a01 * x1), o1 + (0 + a10 * x0 + a11 * x1)
+            push0(x0)
+            push1(x1)
+        return (xs0, xs1), s
+    pts = []
+    push = pts.append
+    for t in steps:
+        s = table[s][t]
+        f = maps[s]
+        pt = tuple(o + sum(a * v for a, v in zip(r, pt)) for r, o in zip(f.matrix, f.offset))
+        push(pt)
+    return tuple([p[i] for p in pts] for i in range(sys.dim)), s
+
+
+def _observable_values(phi, f_phi, coords):
+    """Observable values along a chunk, from its per-coordinate point lists,
+    with the scalar expressions of `test_function`."""
+    if callable(phi):
+        return [f_phi(pt) for pt in zip(*coords)]
+    kind = phi[0]
+    xs = coords[phi[1] - 1]
+    if kind == "coordinate":
+        return xs
+    if kind == "square":
+        return [v ** 2 for v in xs]
+    return [a * b for a, b in zip(xs, coords[phi[2] - 1])]
+
+
+def _running_sum(start: float, values) -> float:
+    """start + v_1 + v_2 + ..., added one at a time from the left."""
+    acc = np.empty(len(values) + 1)
+    acc[0] = start
+    acc[1:] = values
+    return float(np.cumsum(acc)[-1])
 
 
 def ergodic_average(
@@ -276,7 +350,14 @@ def ergodic_average(
     when the system has a certified split witness (callers verify that).
     The spread of 100 batch means estimates the correlated-sample error of
     the time average; the reference value integrates the observable against
-    a sampled estimate of the stationary law of coded points."""
+    a sampled estimate of the stationary law of coded points.
+
+    The orbit runs in chunks of at most `_CHUNK` steps inside each batch.
+    A chunk draws its uniforms in one call (successive draws continue one
+    stream), turns them into a table of next states for every current
+    state, walks that table sequentially and sums the observable from the
+    left, so the result is bit-identical to a step-by-step loop and the
+    memory does not grow with n."""
     if sys.shift.classification != PRIMITIVE:
         raise NotPrimitive("ergodic averaging requires a primitive shift")
     if n < BATCH_COUNT:
@@ -286,42 +367,48 @@ def ergodic_average(
     if not sys.ambient.contains(x):
         raise ValueError(f"starting point {x} outside the ambient box")
 
-    P = sys.shift.P
-    cums = tuple(tuple(float(c) for c in np.cumsum(P[i])) for i in range(sys.k))
-    p_cum = tuple(float(c) for c in np.cumsum(sys.shift.p))
+    k = sys.k
+    cums = np.cumsum(sys.shift.P, axis=1)
+    p_cum = np.cumsum(sys.shift.p)
     rng = np.random.default_rng(seed)
-    us = rng.random(n)
-    appliers = tuple(_fast_apply(f) for f in sys.maps)
 
-    def pick(cum, u):
-        for j, c in enumerate(cum):
-            if u < c:
-                return j
-        return len(cum) - 1
+    def next_state(cum, u):
+        # The first j with u < cum[j], or the last state when there is none.
+        return np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
 
     batch_size = n // BATCH_COUNT
     used = batch_size * BATCH_COUNT
     batch_sums = np.zeros(BATCH_COUNT)
-    state = pick(p_cum, us[0])
     total = 0.0
     pt = x
-    for i in range(used):
-        v = f_phi(pt)
-        total += v
-        batch_sums[i // batch_size] += v
-        if i + 1 < used:
-            state = pick(cums[state], us[i + 1])
-            pt = appliers[state](pt)
+    state = 0
+    for b in range(BATCH_COUNT):
+        for start in range(0, batch_size, _CHUNK):
+            m = min(_CHUNK, batch_size - start)
+            us = rng.random(m)
+            table = np.stack([next_state(cums[i], us) for i in range(k)])
+            if b == 0 and start == 0:
+                # Step 0 stays at x; its uniform draws the initial state.
+                state = int(next_state(p_cum, us[0]))
+                coords, state = _orbit_chunk(sys, state, table[:, 1:].tolist(), pt)
+                coords = tuple([v] + c for v, c in zip(pt, coords))
+            else:
+                coords, state = _orbit_chunk(sys, state, table.tolist(), pt)
+            pt = tuple(c[-1] for c in coords)
+            values = _observable_values(phi, f_phi, coords)
+            total = _running_sum(total, values)
+            batch_sums[b] = _running_sum(batch_sums[b], values)
 
     average = total / used
     batch_means = batch_sums / batch_size
     batch_sigma = float(batch_means.std(ddof=1) / np.sqrt(BATCH_COUNT))
 
-    from .markov_operator import estimate_target
+    from .markov_operator import target_measure
 
-    target = estimate_target(sys, target_samples, seed=seed + 104729)
-    vals = np.array([f_phi(tuple(pt_)) for pt_ in target.measure.points])
-    reference = float((vals * target.measure.weights).sum())
+    # Only the sampled law is integrated; its enclosures are not needed.
+    target = target_measure(sys, target_samples, seed=seed + 104729)
+    vals = np.array([f_phi(tuple(pt_)) for pt_ in target.points])
+    reference = float((vals * target.weights).sum())
     reference_sigma = float(vals.std(ddof=1) / np.sqrt(target_samples))
     return ErgodicResult(
         average=average,

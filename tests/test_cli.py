@@ -15,9 +15,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import markovprod
+from markovprod import cli
 from markovprod.cli import main
 from markovprod.config import build_system, load_config
 
@@ -382,6 +384,35 @@ def test_split_search_miss_exits_one(tmp_path):
     assert summary["verdict"] == "fails"
     assert summary["results"]["detail"] == "no witness up to length 2"
     assert summary["seed"] == 0  # default filled in
+
+
+# ---------------------------------------------------------------------------
+# crashes (exit code 3) and numerical failures (exit code 2)
+
+
+def test_unexpected_exception_exits_three_not_one(tmp_path, monkeypatch, capsys):
+    def crash(*args):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setitem(cli._RUNNERS, "stationary", ("stationary", crash))
+    path = write_config(tmp_path, cantor_config(stationary={}))
+    assert main(["stationary", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: simulated defect" in err
+    assert "internal error" in err
+    assert not (tmp_path / "reports" / "summary-stationary.json").exists()
+
+
+def test_singular_stationary_solve_is_a_domain_error(tmp_path, monkeypatch, capsys):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    path = write_config(tmp_path, cantor_config(stationary={}))
+    assert main(["stationary", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "stationary solve failed: Singular matrix" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,48 @@
+"""The byte comparison of tools/golden_diff.py."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from golden_diff import compare_dirs  # noqa: E402
+
+
+def make_outputs(root: Path) -> Path:
+    root.mkdir()
+    (root / "summary-all.json").write_bytes(b'{\n  "average": 0.4998713\n}\n')
+    (root / "operator.csv").write_bytes(b"step,distance\n0,0.125\n")
+    return root
+
+
+def test_identical_directories_have_no_differences(tmp_path):
+    a = make_outputs(tmp_path / "a")
+    b = make_outputs(tmp_path / "b")
+    assert compare_dirs(a, b) == []
+
+
+def test_a_single_changed_byte_is_flagged(tmp_path):
+    a = make_outputs(tmp_path / "a")
+    b = make_outputs(tmp_path / "b")
+    data = bytearray((b / "summary-all.json").read_bytes())
+    data[20] ^= 1
+    (b / "summary-all.json").write_bytes(bytes(data))
+    assert compare_dirs(a, b) == ["summary-all.json: differs from byte 20 (27 vs 27 bytes)"]
+
+
+def test_missing_and_extra_files_are_flagged(tmp_path):
+    a = make_outputs(tmp_path / "a")
+    b = make_outputs(tmp_path / "b")
+    (b / "operator.csv").unlink()
+    (b / "extra.csv").write_bytes(b"x\n")
+    assert compare_dirs(a, b) == [
+        f"operator.csv: only in {a}",
+        f"extra.csv: only in {b}",
+    ]
+
+
+def test_truncated_file_is_flagged_at_its_end(tmp_path):
+    a = make_outputs(tmp_path / "a")
+    b = make_outputs(tmp_path / "b")
+    (b / "operator.csv").write_bytes(b"step,distance\n")
+    assert compare_dirs(a, b) == ["operator.csv: differs from byte 14 (22 vs 14 bytes)"]

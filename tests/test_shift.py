@@ -13,7 +13,9 @@ from conftest import cantor_markov, random_irreducible
 from markovprod import (
     InadmissibleWord,
     InvalidMatrix,
+    MarkovProdError,
     NotIrreducible,
+    NumericalFailure,
     ZeroStationaryEntry,
     build_shift,
     classify_matrix,
@@ -107,6 +109,25 @@ def test_power_iteration_matches_solver_including_periodic():
         assert float(np.max(np.abs(direct - power))) <= 1e-10
     cyc = stationary_vector_power(THREE_CYCLE)
     assert np.allclose(cyc, [1 / 3, 1 / 3, 1 / 3], atol=1e-10)
+
+
+def test_singular_solve_raises_numerical_failure(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalFailure, match="Singular matrix") as exc:
+        stationary_vector([[0.5, 0.5], [0.5, 0.5]])
+    assert isinstance(exc.value, MarkovProdError)
+    assert isinstance(exc.value, ArithmeticError)
+
+
+def test_power_iteration_cap_raises_numerical_failure():
+    # Callers that caught ArithmeticError still catch it.
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        stationary_vector_power([[0.9, 0.1], [0.2, 0.8]], max_iter=3)
+    with pytest.raises(NumericalFailure):
+        stationary_vector_power([[0.9, 0.1], [0.2, 0.8]], max_iter=3)
 
 
 # --- time reversal ------------------------------------------------------
