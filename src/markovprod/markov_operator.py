@@ -14,7 +14,7 @@ it detects mass misallocation and marginal displacement, which is what the
 stability statement needs at finite resolution, but it is strictly weaker
 than testing all continuous observables.
 
-A measure is treated as immutable once built: its per-state masses (exact
+A measure's arrays are read-only once built, and its per-state masses (exact
 fsums) and its sections (for each state and coordinate, the stably sorted
 values and the cumulative normalized weights) are computed on first use
 and memoized on the measure.  A stability run therefore sorts its fixed
@@ -42,14 +42,19 @@ TARGET_DEPTH = 64
 class StateTaggedMeasure:
     """Weighted particles (state, point, weight) with unit total mass.
 
-    The arrays must not be modified after construction: derived quantities
-    are memoized on first use."""
+    Derived quantities are memoized on first use, so the arrays are made
+    read-only on construction: writing to them raises instead of leaving
+    the memoized values stale."""
 
     states: np.ndarray
     points: np.ndarray
     weights: np.ndarray
     k: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for arr in (self.states, self.points, self.weights):
+            arr.setflags(write=False)
 
     @property
     def n_particles(self) -> int:
@@ -245,11 +250,12 @@ class TargetEstimate:
         return float(self.diameters.max())
 
 
-def _sample_target(
-    sys: MapSystem, n_samples: int, depth: int, seed: int
+def sample_target(
+    sys: MapSystem, n_samples: int, depth: int = TARGET_DEPTH, seed: int = 0
 ) -> tuple[np.ndarray | None, StateTaggedMeasure]:
-    """The inverse-measure words of a target estimate (None at depth 0) and
-    the measure of their coded points."""
+    """The inverse-measure words behind `estimate_target` with the same
+    arguments (None at depth 0) and the measure of their coded points,
+    without the enclosures that certify it."""
     if sys.shift.classification != PRIMITIVE:
         raise NotPrimitive("target estimation requires a primitive shift")
     if n_samples < 1:
@@ -272,14 +278,6 @@ def _sample_target(
     return words, make_measure(sys, words[:, 0], points, weights)
 
 
-def target_measure(
-    sys: MapSystem, n_samples: int, depth: int = TARGET_DEPTH, seed: int = 0
-) -> StateTaggedMeasure:
-    """The measure of `estimate_target` with the same arguments, without the
-    enclosures that certify it."""
-    return _sample_target(sys, n_samples, depth, seed)[1]
-
-
 def estimate_target(
     sys: MapSystem, n_samples: int, depth: int = TARGET_DEPTH, seed: int = 0
 ) -> TargetEstimate:
@@ -289,7 +287,7 @@ def estimate_target(
     composition to the box center, and tags each sample with its first
     symbol.  The chained enclosure diameter of each word bounds how far the
     returned point can sit from the true limit point of any extension."""
-    words, measure = _sample_target(sys, n_samples, depth, seed)
+    words, measure = sample_target(sys, n_samples, depth, seed)
     if words is None:
         ambient_diam = float(
             (np.asarray(sys.ambient.hi, float) - np.asarray(sys.ambient.lo, float)).sum()

@@ -319,20 +319,6 @@ def _orbit_chunk(sys: MapSystem, state: int, table: list[list[int]], pt: tuple):
     return tuple([p[i] for p in pts] for i in range(sys.dim)), s
 
 
-def _observable_values(phi, f_phi, coords):
-    """Observable values along a chunk, from its per-coordinate point lists,
-    with the scalar expressions of `test_function`."""
-    if callable(phi):
-        return [f_phi(pt) for pt in zip(*coords)]
-    kind = phi[0]
-    xs = coords[phi[1] - 1]
-    if kind == "coordinate":
-        return xs
-    if kind == "square":
-        return [v ** 2 for v in xs]
-    return [a * b for a, b in zip(xs, coords[phi[2] - 1])]
-
-
 def _running_sum(start: float, values) -> float:
     """start + v_1 + v_2 + ..., added one at a time from the left."""
     acc = np.empty(len(values) + 1)
@@ -395,7 +381,7 @@ def ergodic_average(
             else:
                 coords, state = _orbit_chunk(sys, state, table.tolist(), pt)
             pt = tuple(c[-1] for c in coords)
-            values = _observable_values(phi, f_phi, coords)
+            values = list(map(f_phi, zip(*coords)))
             total = _running_sum(total, values)
             batch_sums[b] = _running_sum(batch_sums[b], values)
 
@@ -403,10 +389,10 @@ def ergodic_average(
     batch_means = batch_sums / batch_size
     batch_sigma = float(batch_means.std(ddof=1) / np.sqrt(BATCH_COUNT))
 
-    from .markov_operator import target_measure
+    from .markov_operator import sample_target
 
     # Only the sampled law is integrated; its enclosures are not needed.
-    target = target_measure(sys, target_samples, seed=seed + 104729)
+    _, target = sample_target(sys, target_samples, seed=seed + 104729)
     vals = np.array([f_phi(tuple(pt_)) for pt_ in target.points])
     reference = float((vals * target.weights).sum())
     reference_sigma = float(vals.std(ddof=1) / np.sqrt(target_samples))

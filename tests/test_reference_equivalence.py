@@ -369,6 +369,21 @@ def test_state_mass_returns_a_fresh_copy():
     assert_bit_equal(mu.state_mass().tolist(), ref_state_mass(mu).tolist())
 
 
+def test_measure_arrays_are_read_only():
+    sys = cantor_markov()
+    weights = np.full(4, 0.25)
+    mu = make_measure(sys, [1, 2, 1, 2], [0.1, 0.2, 0.3, 0.4], weights)
+    masses = mu.state_mass()
+    for arr in (mu.states, mu.points, mu.weights, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+    stepped = resample(apply_operator(mu, sys), 4, seed=0)
+    for arr in (stepped.states, stepped.points, stepped.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+    assert_bit_equal(mu.state_mass().tolist(), masses.tolist())
+
+
 @pytest.mark.parametrize("factory, budget", [
     (cantor_markov, 200),
     (moebius_pair, 333),

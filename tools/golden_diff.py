@@ -2,11 +2,11 @@
 
 Usage, from anywhere inside a source checkout:
 
-    python3 tools/golden_diff.py REV [--seeds 0 1]
+    python3 tools/golden_diff.py REV
 
 `src/` and `configs/` of REV are extracted with `git archive` into a
 temporary directory.  Then, for that tree and for this checkout's working
-tree, and for each seed, the tool runs `python -m markovprod.cli`:
+tree, and for each seed in `SEEDS`, the tool runs `python -m markovprod.cli`:
 
 - `all` on every shipped config under the tree's own `configs/`;
 - every benchmark workload of `perfbench/run.py` (`WORKLOADS`), with the
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,6 @@ def workload_invocations(config_dir: Path) -> list[Invocation]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         jobs = {}
         for tag, tree in trees.items():
             for inv in invocations(tree, workloads):
-                for seed in args.seeds:
+                for seed in SEEDS:
                     outdir = base / "out" / tag / f"{inv.label}-seed{seed}"
                     outdir.parent.mkdir(parents=True, exist_ok=True)
                     jobs[tag, inv.label, seed] = (tree, inv, seed, outdir)
