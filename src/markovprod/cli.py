@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys as _sys
@@ -25,9 +26,9 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENT_BLOCKS, build_system, load_config
+from .config import build_system, load_config, resolve_block
 from .errors import ConfigError, MarkovProdError
-from .maps import IntervalBox, MapSystem, evaluate_map
+from .maps import IntervalBox, MapSystem
 from .markov_operator import build_initial, stability_experiment
 from .oracle import default_grid, verify_bounds
 from .shift import sample_words
@@ -39,24 +40,12 @@ from .splitting import (
     verify_split_horizon,
 )
 from .synchronization import (
+    coding_invariance,
     coding_point,
+    ergodic_average,
     measure_contraction_experiment,
     sync_experiment,
     weak_hyperbolicity_experiment,
-)
-
-SUBCOMMANDS = (
-    "stationary",
-    "split-check",
-    "split-search",
-    "oracle",
-    "operator",
-    "sync",
-    "contract",
-    "weak-hyp",
-    "coding",
-    "ergodic",
-    "all",
 )
 
 HOLDS = "holds"
@@ -77,8 +66,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -111,7 +98,7 @@ def _resolve_witness(sys_: MapSystem, split_cfg: dict) -> SplitWitness | None:
 def _split_status(sys_: MapSystem, config: dict) -> dict:
     """Cheap witness lookup recorded by the sampling experiments, whose
     conclusions are only meaningful for splitting systems."""
-    split_cfg = config["experiments"].get("split", {"word_a": None, "word_b": None, "max_len": 3})
+    split_cfg = config["experiments"].get("split") or resolve_block("split", {})
     try:
         witness = _resolve_witness(sys_, split_cfg)
     except MarkovProdError as exc:
@@ -204,19 +191,14 @@ def _run_split_search(sys_: MapSystem, config: dict, block: dict, outdir: str, s
 def _oracle_pair(sys_: MapSystem, config: dict, block: dict):
     if block.get("xi") is not None:
         return (tuple(block["xi"]), tuple(block["eta"])), None
-    split_cfg = config["experiments"].get(
-        "split", {"word_a": None, "word_b": None, "max_len": 3, "normalize_mode": "primitive", "strict_endpoints": False}
-    )
+    split_cfg = config["experiments"].get("split") or resolve_block("split", {})
     witness = _resolve_witness(sys_, split_cfg)
     if witness is None:
         raise ConfigError(
             "experiments.oracle needs xi/eta, or a split block that certifies a witness"
         )
     pair = normalize_witness(
-        sys_,
-        witness,
-        split_cfg.get("normalize_mode", "primitive"),
-        strict_endpoints=split_cfg.get("strict_endpoints", False),
+        sys_, witness, split_cfg["normalize_mode"], strict_endpoints=split_cfg["strict_endpoints"]
     )
     return pair, witness
 
@@ -353,23 +335,13 @@ def _run_coding(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: i
         _write_csv(os.path.join(outdir, "coding.csv"), header, rows)
         files.append("coding.csv")
 
-    ok = True
-    max_residual = 0.0
-    max_allowance = 0.0
+    max_residual = max_allowance = 0.0
+    violations = 0
     n_samples = block["invariance_samples"]
     if n_samples > 0:
         words = sample_words(sys_.shift, n_samples, block["depth"] + 1, inverse=True, seed=seed)
-        for row in words:
-            word = tuple(int(a) for a in row)
-            full, bound_full = coding_point(sys_, word)
-            shifted, bound_shifted = coding_point(sys_, word[1:])
-            image = evaluate_map(sys_.map_for(word[0]), shifted)
-            residual = float(sum(abs(a - b) for a, b in zip(image, full)))
-            allowance = bound_full + bound_shifted
-            max_residual = max(max_residual, residual)
-            max_allowance = max(max_allowance, allowance)
-            if residual > allowance:
-                ok = False
+        max_residual, max_allowance, violations = coding_invariance(sys_, words)
+    ok = violations == 0
     results = {
         "points": points,
         "invariance_samples": n_samples,
@@ -381,8 +353,6 @@ def _run_coding(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: i
 
 
 def _run_ergodic(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
-    from .synchronization import ergodic_average
-
     x = block["x"]
     if x is None:
         x = list(sys_.ambient.center())
@@ -407,7 +377,9 @@ def _run_ergodic(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: 
     return results, True, []
 
 
-_RUNNERS = {
+# Subcommand -> (experiment block, runner).  The parser offers these plus
+# `all`, which runs them in this order, one per block present in the config.
+REGISTRY = {
     "stationary": ("stationary", _run_stationary),
     "split-check": ("split", _run_split_check),
     "split-search": ("split", _run_split_search),
@@ -420,33 +392,14 @@ _RUNNERS = {
     "ergodic": ("ergodic", _run_ergodic),
 }
 
-_ALL_ORDER = {
-    "stationary": "stationary",
-    "split": "split-check",
-    "oracle": "oracle",
-    "operator": "operator",
-    "sync": "sync",
-    "contract": "contract",
-    "weak_hyp": "weak-hyp",
-    "coding": "coding",
-    "ergodic": "ergodic",
-}
 
-
-def _block_or_default(config: dict, name: str) -> dict:
-    from .config import _BLOCK_VALIDATORS
-
-    if name in config["experiments"]:
-        return config["experiments"][name]
-    return _BLOCK_VALIDATORS[name]({}, f"experiments.{name}")
-
-
-def _dispatch(subcommand: str, sys_: MapSystem, config: dict, outdir: str, seed: int, exact: bool):
-    block_name, runner = _RUNNERS[subcommand]
-    block = _block_or_default(config, block_name)
-    if subcommand == "split-check" and block.get("word_a") is None:
-        raise ConfigError("experiments.split.word_a and word_b are required for split-check")
-    return runner(sys_, config, block, outdir, seed, exact)
+def _all_subcommands(experiments: dict) -> list[str]:
+    """The subcommands `all` runs: one per configured block, split-check when
+    the split block names a word pair and split-search otherwise."""
+    names = [name for name, (block_name, _) in REGISTRY.items() if block_name in experiments]
+    if "split" in experiments:
+        names.remove("split-search" if experiments["split"]["word_a"] is not None else "split-check")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Laboratory for Markovian random products of monotone maps.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in [*REGISTRY, "all"]:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -501,26 +454,18 @@ def _run(args: argparse.Namespace) -> int:
     outdir = args.out if args.out is not None else config["out"]
     os.makedirs(outdir, exist_ok=True)
 
-    if args.subcommand == "all":
-        results = {}
-        produced = []
-        ok = True
-        for block_name in EXPERIMENT_BLOCKS:
-            if block_name not in config["experiments"]:
-                continue
-            name = _ALL_ORDER[block_name]
-            if name == "split-check" and config["experiments"]["split"].get("word_a") is None:
-                name = "split-search"
-            block_results, block_ok, files = _dispatch(
-                name, sys_, config, outdir, seed, args.exact
-            )
-            results[name] = block_results
-            produced.extend(files)
-            ok = ok and block_ok
-    else:
-        results, ok, produced = _dispatch(
-            args.subcommand, sys_, config, outdir, seed, args.exact
-        )
+    names = _all_subcommands(config["experiments"]) if args.subcommand == "all" else [args.subcommand]
+    results = {}
+    produced = []
+    ok = True
+    for name in names:
+        block_name, runner = REGISTRY[name]
+        block = config["experiments"].get(block_name) or resolve_block(block_name, {})
+        results[name], block_ok, files = runner(sys_, config, block, outdir, seed, args.exact)
+        produced.extend(files)
+        ok = ok and block_ok
+    if args.subcommand != "all":
+        results = results[args.subcommand]
 
     summary = {
         "version": __version__,

@@ -12,27 +12,17 @@ MapSystem.
 from __future__ import annotations
 
 import json
+import math
+from functools import partial
 from numbers import Real
 
 from .errors import ConfigError, MarkovProdError
-from .maps import AffineMap, IntervalBox, MapSystem, MoebiusMap
+from .maps import AffineMap, IntervalBox, MapSystem, MoebiusMap, sign_table
 from .shift import build_shift
 
 NORMALIZE_MODES = ("primitive", "row-positive")
 INITIAL_KINDS = ("uniform", "corner", "center")
 PHI_KINDS = ("coordinate", "square", "product")
-
-EXPERIMENT_BLOCKS = (
-    "stationary",
-    "split",
-    "oracle",
-    "operator",
-    "sync",
-    "contract",
-    "weak_hyp",
-    "coding",
-    "ergodic",
-)
 
 
 def _require_dict(value, path: str) -> dict:
@@ -61,7 +51,14 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{path} must be a number")
-    return float(value)
+    # json accepts NaN and Infinity, and NaN passes every range check.
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number")
+    return value
 
 
 def _as_bool(value, path: str) -> bool:
@@ -135,13 +132,9 @@ def _validate_map(obj, path: str, dim: int) -> dict:
         _check_keys(obj, path, ("kind", "a", "b", "c", "d", "declared_types"), ("a", "b", "c", "d"))
         if dim != 1:
             raise ConfigError(f"{path}: moebius maps need a 1-dimensional ambient box")
-        out = {
-            "kind": "moebius",
-            "a": _as_float(obj["a"], f"{path}.a"),
-            "b": _as_float(obj["b"], f"{path}.b"),
-            "c": _as_float(obj["c"], f"{path}.c"),
-            "d": _as_float(obj["d"], f"{path}.d"),
-        }
+        out = {"kind": "moebius"}
+        for key in ("a", "b", "c", "d"):
+            out[key] = _as_float(obj[key], f"{path}.{key}")
     else:
         _check_keys(obj, path, ("kind", "matrix", "offset", "declared_types"), ("matrix", "offset"))
         matrix = obj["matrix"]
@@ -189,104 +182,30 @@ def _validate_system(obj, path: str) -> dict:
     }
 
 
-def _validate_split(obj, path: str) -> dict:
-    _check_keys(
-        obj,
-        path,
-        ("word_a", "word_b", "max_len", "horizon", "cloud_size", "prefix_samples", "normalize_mode", "strict_endpoints"),
-    )
-    out = {
-        "word_a": _as_word(obj["word_a"], f"{path}.word_a") if "word_a" in obj else None,
-        "word_b": _as_word(obj["word_b"], f"{path}.word_b") if "word_b" in obj else None,
-        "max_len": _as_int(obj.get("max_len", 3), f"{path}.max_len", minimum=1),
-        "horizon": _as_int(obj.get("horizon", 10), f"{path}.horizon", minimum=0),
-        "cloud_size": _as_int(obj.get("cloud_size", 64), f"{path}.cloud_size", minimum=1),
-        "prefix_samples": None,
-        "normalize_mode": _as_str(obj.get("normalize_mode", "primitive"), f"{path}.normalize_mode", NORMALIZE_MODES),
-        "strict_endpoints": _as_bool(obj.get("strict_endpoints", False), f"{path}.strict_endpoints"),
-    }
-    if obj.get("prefix_samples") is not None:
-        out["prefix_samples"] = _as_int(obj["prefix_samples"], f"{path}.prefix_samples", minimum=1)
-    if (out["word_a"] is None) != (out["word_b"] is None):
-        raise ConfigError(f"{path}: word_a and word_b must be given together")
-    return out
+def _as_initials(value, path: str) -> list[str]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path} must be a nonempty array")
+    for i, kind in enumerate(value):
+        _as_str(kind, f"{path}[{i}]", INITIAL_KINDS)
+    if len(set(value)) != len(value):
+        raise ConfigError(f"{path} must not repeat")
+    return list(value)
 
 
-def _validate_oracle(obj, path: str) -> dict:
-    _check_keys(obj, path, ("xi", "eta", "ell_max", "grid_points", "s", "exact"))
-    out = {
-        "xi": _as_word(obj["xi"], f"{path}.xi") if "xi" in obj else None,
-        "eta": _as_word(obj["eta"], f"{path}.eta") if "eta" in obj else None,
-        "ell_max": _as_int(obj.get("ell_max", 6), f"{path}.ell_max", minimum=1),
-        "grid_points": _as_int(obj.get("grid_points", 33), f"{path}.grid_points", minimum=1),
-        "s": _as_int(obj.get("s", 1), f"{path}.s", minimum=1),
-        "exact": _as_bool(obj.get("exact", False), f"{path}.exact"),
-    }
-    if (out["xi"] is None) != (out["eta"] is None):
-        raise ConfigError(f"{path}: xi and eta must be given together")
-    return out
+def _as_positive(value, path: str) -> float:
+    value = _as_float(value, path)
+    if value <= 0.0:
+        raise ConfigError(f"{path} must be positive")
+    return value
 
 
-def _validate_operator(obj, path: str) -> dict:
-    _check_keys(obj, path, ("n_steps", "particles", "initials", "target_samples", "target_depth"))
-    initials = obj.get("initials", list(INITIAL_KINDS))
-    if not isinstance(initials, list) or not initials:
-        raise ConfigError(f"{path}.initials must be a nonempty array")
-    for i, kind in enumerate(initials):
-        _as_str(kind, f"{path}.initials[{i}]", INITIAL_KINDS)
-    if len(set(initials)) != len(initials):
-        raise ConfigError(f"{path}.initials must not repeat")
-    return {
-        "n_steps": _as_int(obj.get("n_steps", 30), f"{path}.n_steps", minimum=1),
-        "particles": _as_int(obj.get("particles", 10_000), f"{path}.particles", minimum=1),
-        "initials": list(initials),
-        "target_samples": _as_int(obj.get("target_samples", 20_000), f"{path}.target_samples", minimum=1),
-        "target_depth": _as_int(obj.get("target_depth", 64), f"{path}.target_depth", minimum=1),
-    }
+def _as_words(value, path: str) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be an array of words")
+    return [_as_word(w, f"{path}[{i}]") for i, w in enumerate(value)]
 
 
-def _validate_sync(obj, path: str) -> dict:
-    _check_keys(obj, path, ("trials", "n_max", "cloud_size"))
-    return {
-        "trials": _as_int(obj.get("trials", 100), f"{path}.trials", minimum=1),
-        "n_max": _as_int(obj.get("n_max", 20), f"{path}.n_max", minimum=3),
-        "cloud_size": _as_int(obj.get("cloud_size", 256), f"{path}.cloud_size", minimum=1),
-    }
-
-
-def _validate_contract(obj, path: str) -> dict:
-    _check_keys(obj, path, ("trials", "n_max"))
-    return {
-        "trials": _as_int(obj.get("trials", 10), f"{path}.trials", minimum=1),
-        "n_max": _as_int(obj.get("n_max", 20), f"{path}.n_max", minimum=3),
-    }
-
-
-def _validate_weak_hyp(obj, path: str) -> dict:
-    _check_keys(obj, path, ("trials", "depth", "tol"))
-    tol = _as_float(obj.get("tol", 1e-9), f"{path}.tol")
-    if tol <= 0.0:
-        raise ConfigError(f"{path}.tol must be positive")
-    return {
-        "trials": _as_int(obj.get("trials", 10_000), f"{path}.trials", minimum=1),
-        "depth": _as_int(obj.get("depth", 40), f"{path}.depth", minimum=1),
-        "tol": tol,
-    }
-
-
-def _validate_coding(obj, path: str) -> dict:
-    _check_keys(obj, path, ("words", "depth", "invariance_samples"))
-    words = obj.get("words", [])
-    if not isinstance(words, list):
-        raise ConfigError(f"{path}.words must be an array of words")
-    return {
-        "words": [_as_word(w, f"{path}.words[{i}]") for i, w in enumerate(words)],
-        "depth": _as_int(obj.get("depth", 40), f"{path}.depth", minimum=1),
-        "invariance_samples": _as_int(obj.get("invariance_samples", 1000), f"{path}.invariance_samples", minimum=0),
-    }
-
-
-def _validate_phi(value, path: str) -> list:
+def _as_phi(value, path: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path} must be an array like [\"coordinate\", 1]")
     kind = _as_str(value[0], f"{path}[0]", PHI_KINDS)
@@ -296,32 +215,88 @@ def _validate_phi(value, path: str) -> list:
     return [kind] + [_as_int(v, f"{path}[{i}]", minimum=1) for i, v in enumerate(value[1:], start=1)]
 
 
-def _validate_ergodic(obj, path: str) -> dict:
-    _check_keys(obj, path, ("n", "x", "phi", "target_samples"))
-    return {
-        "n": _as_int(obj.get("n", 1_000_000), f"{path}.n", minimum=100),
-        "x": _as_number_list(obj["x"], f"{path}.x") if "x" in obj else None,
-        "phi": _validate_phi(obj.get("phi", ["coordinate", 1]), f"{path}.phi"),
-        "target_samples": _as_int(obj.get("target_samples", 20_000), f"{path}.target_samples", minimum=2),
-    }
-
-
-def _validate_stationary(obj, path: str) -> dict:
-    _check_keys(obj, path, ())
-    return {}
-
-
-_BLOCK_VALIDATORS = {
-    "stationary": _validate_stationary,
-    "split": _validate_split,
-    "oracle": _validate_oracle,
-    "operator": _validate_operator,
-    "sync": _validate_sync,
-    "contract": _validate_contract,
-    "weak_hyp": _validate_weak_hyp,
-    "coding": _validate_coding,
-    "ergodic": _validate_ergodic,
+# Experiment block -> key -> (default, check).  A key left out takes its
+# default, which passes through the check (so lists come out fresh) unless
+# it is None.  An explicit null is rejected by the check, except for
+# split.prefix_samples.  Keys are checked in table order, which fixes the
+# error a block with several bad keys reports; `all` runs blocks in table
+# order.
+_BLOCK_SCHEMA = {
+    "stationary": {},
+    "split": {
+        "word_a": (None, _as_word),
+        "word_b": (None, _as_word),
+        "max_len": (3, partial(_as_int, minimum=1)),
+        "horizon": (10, partial(_as_int, minimum=0)),
+        "cloud_size": (64, partial(_as_int, minimum=1)),
+        "normalize_mode": ("primitive", partial(_as_str, choices=NORMALIZE_MODES)),
+        "strict_endpoints": (False, _as_bool),
+        "prefix_samples": (None, partial(_as_int, minimum=1)),
+    },
+    "oracle": {
+        "xi": (None, _as_word),
+        "eta": (None, _as_word),
+        "ell_max": (6, partial(_as_int, minimum=1)),
+        "grid_points": (33, partial(_as_int, minimum=1)),
+        "s": (1, partial(_as_int, minimum=1)),
+        "exact": (False, _as_bool),
+    },
+    "operator": {
+        "initials": (list(INITIAL_KINDS), _as_initials),
+        "n_steps": (30, partial(_as_int, minimum=1)),
+        "particles": (10_000, partial(_as_int, minimum=1)),
+        "target_samples": (20_000, partial(_as_int, minimum=1)),
+        "target_depth": (64, partial(_as_int, minimum=1)),
+    },
+    "sync": {
+        "trials": (100, partial(_as_int, minimum=1)),
+        "n_max": (20, partial(_as_int, minimum=3)),
+        "cloud_size": (256, partial(_as_int, minimum=1)),
+    },
+    "contract": {
+        "trials": (10, partial(_as_int, minimum=1)),
+        "n_max": (20, partial(_as_int, minimum=3)),
+    },
+    "weak_hyp": {
+        "tol": (1e-9, _as_positive),
+        "trials": (10_000, partial(_as_int, minimum=1)),
+        "depth": (40, partial(_as_int, minimum=1)),
+    },
+    "coding": {
+        "words": ([], _as_words),
+        "depth": (40, partial(_as_int, minimum=1)),
+        "invariance_samples": (1000, partial(_as_int, minimum=0)),
+    },
+    "ergodic": {
+        "n": (1_000_000, partial(_as_int, minimum=100)),
+        "x": (None, _as_number_list),
+        "phi": (["coordinate", 1], _as_phi),
+        "target_samples": (20_000, partial(_as_int, minimum=2)),
+    },
 }
+
+EXPERIMENT_BLOCKS = tuple(_BLOCK_SCHEMA)
+
+# Keys that name one word pair: both are given or neither is.
+_TOGETHER = {"split": ("word_a", "word_b"), "oracle": ("xi", "eta")}
+
+
+def resolve_block(name: str, obj: dict) -> dict:
+    """Check one experiment block against _BLOCK_SCHEMA; returns it with the
+    defaults filled in.  resolve_block(name, {}) is the default block."""
+    path = f"experiments.{name}"
+    schema = _BLOCK_SCHEMA[name]
+    _check_keys(obj, path, tuple(schema))
+    out = {}
+    for key, (default, check) in schema.items():
+        value = obj.get(key, default)
+        unset = value is None and (key not in obj or key == "prefix_samples")
+        out[key] = None if unset else check(value, f"{path}.{key}")
+    if name in _TOGETHER:
+        a, b = _TOGETHER[name]
+        if (out[a] is None) != (out[b] is None):
+            raise ConfigError(f"{path}: {a} and {b} must be given together")
+    return out
 
 
 def validate_config(raw) -> dict:
@@ -339,8 +314,7 @@ def validate_config(raw) -> dict:
     for name, block in experiments.items():
         if name not in EXPERIMENT_BLOCKS:
             raise ConfigError(f"unknown key experiments.{name}")
-        block = _require_dict(block, f"experiments.{name}")
-        resolved["experiments"][name] = _BLOCK_VALIDATORS[name](block, f"experiments.{name}")
+        resolved["experiments"][name] = resolve_block(name, _require_dict(block, f"experiments.{name}"))
     return resolved
 
 
@@ -357,8 +331,6 @@ def load_config(path: str) -> dict:
 
 def build_system(config: dict) -> MapSystem:
     """Construct the validated MapSystem from a resolved config."""
-    from .maps import sign_table
-
     block = config["system"]
     ambient = IntervalBox(tuple(block["ambient"]["lo"]), tuple(block["ambient"]["hi"]))
     maps = []

@@ -307,13 +307,6 @@ def monotone_classes(sys: MapSystem) -> tuple[MonotoneType, ...]:
     return tuple(found)
 
 
-def in_order_cone(x, y, signs: tuple[str, ...]) -> bool:
-    """Strict order x < y coordinatewise, with '-' coordinates reversed."""
-    return all(
-        (a < b) if s == PLUS else (a > b) for a, b, s in zip(x, y, signs)
-    )
-
-
 def forward_orbit(sys: MapSystem, word: Word, x) -> tuple:
     """Apply f_{w_1} first: the orbit point f_{w_n} o ... o f_{w_1}(x)."""
     word = check_word(word, sys.k)

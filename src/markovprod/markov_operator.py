@@ -421,11 +421,3 @@ def stability_experiment(
         mass_identity_error=worst,
         target_diameter=target.max_diameter,
     )
-
-
-def sorted_particles(mu: StateTaggedMeasure) -> np.ndarray:
-    """Rows (state, point..., weight) sorted lexicographically, for
-    order-independent serialization."""
-    rows = np.column_stack([mu.states.astype(float), mu.points, mu.weights])
-    order = np.lexsort(tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)))
-    return rows[order]

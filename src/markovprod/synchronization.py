@@ -27,6 +27,7 @@ from .maps import (
     MapSystem,
     MoebiusMap,
     batch_reverse_boxes,
+    evaluate_map,
     forward_box_chain,
     map_points,
     reverse_box,
@@ -232,6 +233,27 @@ def coding_point(sys: MapSystem, word: Word) -> tuple[tuple, float]:
     box = reverse_box(sys, word)
     diameter = float(sum(float(h) - float(l) for l, h in zip(box.lo, box.hi)))
     return point, diameter
+
+
+def coding_invariance(sys: MapSystem, words) -> tuple[float, float, int]:
+    """Check pi(w) = f_{w_1}(pi(w_2 w_3 ...)) on each row of `words`, where pi
+    is `coding_point`, allowing the sum of the two points' bounds.  Returns
+    the largest l1 residual, the largest allowance, and the number of words
+    whose residual exceeds their allowance."""
+    max_residual = max_allowance = 0.0
+    violations = 0
+    for row in words:
+        word = tuple(int(a) for a in row)
+        full, bound_full = coding_point(sys, word)
+        shifted, bound_shifted = coding_point(sys, word[1:])
+        image = evaluate_map(sys.map_for(word[0]), shifted)
+        residual = float(sum(abs(a - b) for a, b in zip(image, full)))
+        allowance = bound_full + bound_shifted
+        max_residual = max(max_residual, residual)
+        max_allowance = max(max_allowance, allowance)
+        if residual > allowance:
+            violations += 1
+    return max_residual, max_allowance, violations
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from conftest import (
     moebius_pair,
     random_irreducible,
 )
-from markovprod.maps import evaluate_map
 from markovprod.markov_operator import (
     build_initial,
     estimate_target,
@@ -40,6 +39,7 @@ from markovprod.shift import (
 )
 from markovprod.splitting import certify_split, normalize_witness
 from markovprod.synchronization import (
+    coding_invariance,
     coding_point,
     ergodic_average,
     measure_contraction_experiment,
@@ -300,15 +300,7 @@ def test_criterion_10_coding_map():
     if abs(pp[0] - 0.25) > 1e-9:
         problems.append(f"(1,2)-periodic word coded to {pp[0]!r}, expected 0.25")
     words = sample_words(sys_.shift, 1000, 41, inverse=True, seed=23)
-    violations = 0
-    for row in words:
-        word = tuple(int(a) for a in row)
-        full, bound_full = coding_point(sys_, word)
-        tail, bound_tail = coding_point(sys_, word[1:])
-        image = evaluate_map(sys_.map_for(word[0]), tail)
-        residual = sum(abs(u - v) for u, v in zip(image, full))
-        if residual > bound_full + bound_tail:
-            violations += 1
+    _, _, violations = coding_invariance(sys_, words)
     if violations:
         problems.append(f"{violations} invariance residuals above the reported bounds")
     ok = not problems

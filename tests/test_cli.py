@@ -21,7 +21,7 @@ import pytest
 import markovprod
 from markovprod import cli
 from markovprod.cli import main
-from markovprod.config import build_system, load_config
+from markovprod.config import EXPERIMENT_BLOCKS, build_system, load_config
 
 try:
     import tomllib
@@ -211,6 +211,11 @@ def test_all_only_runs_present_blocks_and_falls_back_to_search(tmp_path):
 # determinism
 
 
+def test_registry_covers_every_block_in_schema_order():
+    blocks = [block for block, _ in cli.REGISTRY.values()]
+    assert list(dict.fromkeys(blocks)) == list(EXPERIMENT_BLOCKS)
+
+
 def test_rerun_is_bit_identical(tmp_path):
     cfg = moebius_config(sync={"trials": 3, "n_max": 8})
     path = write_config(tmp_path, cfg)
@@ -282,6 +287,25 @@ def test_bad_row_sum_is_config_error(tmp_path, capsys):
     assert err.startswith("config error:")
     assert "system.transition_matrix row 1 sums to" in err
     assert "expected 1.0" in err
+
+
+def test_nan_in_transition_matrix_is_config_error(tmp_path, capsys):
+    cfg = cantor_config(stationary={})
+    cfg["system"]["transition_matrix"] = [[float("nan"), 1.0], [0.5, 0.5]]
+    path = write_config(tmp_path, cfg)
+    assert main(["stationary", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "system.transition_matrix row 1 must be a finite number" in err
+
+
+def test_nan_tolerance_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, cantor_config(weak_hyp={"trials": 10, "tol": float("nan")}))
+    assert main(["weak-hyp", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "experiments.weak_hyp.tol must be a finite number" in err
+    assert not (tmp_path / "reports" / "summary-weak-hyp.json").exists()
 
 
 def test_unknown_experiment_key_is_config_error(tmp_path, capsys):
@@ -394,7 +418,7 @@ def test_unexpected_exception_exits_three_not_one(tmp_path, monkeypatch, capsys)
     def crash(*args):
         raise RuntimeError("simulated defect")
 
-    monkeypatch.setitem(cli._RUNNERS, "stationary", ("stationary", crash))
+    monkeypatch.setitem(cli.REGISTRY, "stationary", ("stationary", crash))
     path = write_config(tmp_path, cantor_config(stationary={}))
     assert main(["stationary", "--config", path]) == 3
     err = capsys.readouterr().err

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from markovprod.config import EXPERIMENT_BLOCKS, validate_config
+from markovprod.config import EXPERIMENT_BLOCKS, load_config, resolve_block, validate_config
 from markovprod.errors import ConfigError
 
 SYSTEM = {
@@ -254,4 +256,41 @@ SYSTEM_REJECTIONS = [
 def test_system_rejection_message(system, message):
     with pytest.raises(ConfigError) as info:
         resolve({}, system)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", list(DEFAULTS))
+def test_resolve_block_of_nothing_is_the_default_block(name):
+    resolved = resolve_block(name, {})
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(DEFAULTS[name], sort_keys=True)
+
+
+def test_readme_schema_block_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    shown = json.loads(re.sub(r"//.*", "", block))["experiments"]
+    assert list(shown) == list(EXPERIMENT_BLOCKS)
+    for name, given in shown.items():
+        default = resolve_block(name, {})
+        # Keys without a default (a word pair, a start point) appear only in comments.
+        optional = {key for key, value in default.items() if value is None and key != "prefix_samples"}
+        assert set(given) == set(default) - optional, name
+        assert json.dumps(resolve_block(name, given), sort_keys=True) == json.dumps(default, sort_keys=True), name
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("NaN", "experiments.weak_hyp.tol must be a finite number"),
+        ("Infinity", "experiments.weak_hyp.tol must be a finite number"),
+        ("1" + "0" * 400, "experiments.weak_hyp.tol must be a finite number"),
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"system": %s, "experiments": {"weak_hyp": {"tol": %s}}}' % (json.dumps(SYSTEM), text)
+    )
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
     assert str(info.value) == message

@@ -28,7 +28,6 @@ from markovprod.maps import (
     batch_reverse_boxes,
     batch_reverse_points,
     forward_box,
-    in_order_cone,
     injective,
     map_points,
     sign_table,
@@ -36,6 +35,11 @@ from markovprod.maps import (
 from markovprod.splitting import ambient_cloud
 
 IID = [[0.5, 0.5], [0.5, 0.5]]
+
+
+def in_order_cone(x, y, signs: tuple[str, ...]) -> bool:
+    """Strict order x < y coordinatewise, with '-' coordinates reversed."""
+    return all((a < b) if s == "+" else (a > b) for a, b, s in zip(x, y, signs))
 
 
 def decreasing_pair() -> MapSystem:

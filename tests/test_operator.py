@@ -18,9 +18,15 @@ from markovprod import (
     wasserstein_1d,
     weak_star_distance,
 )
-from markovprod.markov_operator import sorted_particles
-
 from conftest import UNIT
+
+
+def sorted_particles(mu) -> np.ndarray:
+    """Rows (state, point..., weight) sorted lexicographically, for
+    order-independent comparison."""
+    rows = np.column_stack([mu.states.astype(float), mu.points, mu.weights])
+    order = np.lexsort(tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)))
+    return rows[order]
 
 
 def delta(sys, state, x, n_copies=1):
