@@ -4,8 +4,9 @@ Provides:
 - IntervalBox: compact axis-aligned boxes with exact per-coordinate
   interval images under the supported map kinds
 - AffineMap x -> A x + b and MoebiusMap x -> (a x + b) / (c x + d) (1-D)
-- point evaluation, forward orbits f_{w_n} o ... o f_{w_1} and reverse
-  compositions f_{w_1} o ... o f_{w_n}, scalar and vectorised
+- point evaluation, and `orbit`, the one loop applying a word's maps in
+  turn: forward orbits f_{w_n} o ... o f_{w_1} pass the word, coding-order
+  compositions f_{w_1} o ... o f_{w_n} its reverse; batched in one loop too
 - monotone sign classification of a system: the common pattern
   t in {+,-}^m such that coordinate function j of every map follows t
   when t_j = t_1 and the flipped pattern otherwise, with zero partial
@@ -307,15 +308,23 @@ def monotone_classes(sys: MapSystem) -> tuple[MonotoneType, ...]:
     return tuple(found)
 
 
+def orbit(step, maps: tuple, symbols, start) -> list:
+    """`start`, then its image under maps[s - 1] for each symbol s in turn,
+    computed by `step(map, value)`.  `maps` may hold float or Fraction
+    maps; the symbols are not checked here."""
+    out = [start]
+    for s in symbols:
+        out.append(step(maps[s - 1], out[-1]))
+    return out
+
+
 def forward_orbit(sys: MapSystem, word: Word, x) -> tuple:
     """Apply f_{w_1} first: the orbit point f_{w_n} o ... o f_{w_1}(x)."""
     word = check_word(word, sys.k)
     x = tuple(x)
     if not sys.ambient.contains(x):
         raise OutsideDomain(f"orbit start {x} outside the ambient box")
-    for s in word:
-        x = evaluate_map(sys.map_for(s), x)
-    return x
+    return orbit(evaluate_map, sys.maps, word, x)[-1]
 
 
 def reverse_composition(sys: MapSystem, word: Word, x) -> tuple:
@@ -324,9 +333,7 @@ def reverse_composition(sys: MapSystem, word: Word, x) -> tuple:
     x = tuple(x)
     if not sys.ambient.contains(x):
         raise OutsideDomain(f"composition anchor {x} outside the ambient box")
-    for s in reversed(word):
-        x = evaluate_map(sys.map_for(s), x)
-    return x
+    return orbit(evaluate_map, sys.maps, reversed(word), x)[-1]
 
 
 def forward_box_chain(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> list[IntervalBox]:
@@ -336,16 +343,7 @@ def forward_box_chain(sys: MapSystem, word: Word, box: IntervalBox | None = None
     starting box itself.
     """
     word = check_word(word, sys.k)
-    cur = sys.ambient if box is None else box
-    out = [cur]
-    for s in word:
-        cur = box_image(sys.map_for(s), cur)
-        out.append(cur)
-    return out
-
-
-def forward_box(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> IntervalBox:
-    return forward_box_chain(sys, word, box)[-1]
+    return orbit(box_image, sys.maps, word, sys.ambient if box is None else box)
 
 
 def reverse_box_chain(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> list[IntervalBox]:
@@ -358,22 +356,28 @@ def reverse_box_chain(sys: MapSystem, word: Word, box: IntervalBox | None = None
     the ambient box into itself before the prefix is applied.
     """
     word = check_word(word, sys.k)
-    start = sys.ambient if box is None else box
-    out = [start]
-    for j in range(1, len(word) + 1):
-        cur = start
-        for s in reversed(word[:j]):
-            cur = box_image(sys.map_for(s), cur)
-        out.append(cur)
-    return out
+    return [reverse_box(sys, word[:j], box) for j in range(len(word) + 1)]
 
 
 def reverse_box(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> IntervalBox:
     word = check_word(word, sys.k)
-    cur = sys.ambient if box is None else box
-    for s in reversed(word):
-        cur = box_image(sys.map_for(s), cur)
-    return cur
+    return orbit(box_image, sys.maps, reversed(word), sys.ambient if box is None else box)[-1]
+
+
+def _masked_reverse(sys: MapSystem, words, step, arrays: list) -> list:
+    """Send each row of `arrays` through its word's maps, last symbol first:
+    per depth and symbol j, `step(f_j, *rows)` returns one array per entry
+    of `arrays`, which are updated in place and returned."""
+    words = np.asarray(words)
+    for t in range(words.shape[1] - 1, -1, -1):
+        col = words[:, t]
+        for j in range(1, sys.k + 1):
+            mask = col == j
+            if mask.any():
+                images = step(sys.maps[j - 1], *(a[mask] for a in arrays))
+                for a, image in zip(arrays, images):
+                    a[mask] = image
+    return arrays
 
 
 def batch_reverse_points(sys: MapSystem, words: np.ndarray, anchor) -> np.ndarray:
@@ -381,28 +385,15 @@ def batch_reverse_points(sys: MapSystem, words: np.ndarray, anchor) -> np.ndarra
 
     words is an (n, depth) integer array of symbols; the result is (n, m).
     """
-    words = np.asarray(words)
-    n = words.shape[0]
+    n = np.asarray(words).shape[0]
     pts = np.tile(np.asarray(anchor, dtype=float), (n, 1))
-    for t in range(words.shape[1] - 1, -1, -1):
-        col = words[:, t]
-        for j in range(1, sys.k + 1):
-            mask = col == j
-            if mask.any():
-                pts[mask] = map_points(sys.maps[j - 1], pts[mask])
-    return pts
+    return _masked_reverse(sys, words, lambda f, p: (map_points(f, p),), [pts])[0]
 
 
 def batch_reverse_boxes(sys: MapSystem, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chained enclosures of the reverse compositions of many words at once."""
-    words = np.asarray(words)
-    n = words.shape[0]
+    n = np.asarray(words).shape[0]
     lo = np.tile(np.asarray(sys.ambient.lo, dtype=float), (n, 1))
     hi = np.tile(np.asarray(sys.ambient.hi, dtype=float), (n, 1))
-    for t in range(words.shape[1] - 1, -1, -1):
-        col = words[:, t]
-        for j in range(1, sys.k + 1):
-            mask = col == j
-            if mask.any():
-                lo[mask], hi[mask] = map_boxes(sys.maps[j - 1], lo[mask], hi[mask])
+    lo, hi = _masked_reverse(sys, words, map_boxes, [lo, hi])
     return lo, hi

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, HypothesisViolated, LengthMismatch
-from .maps import AffineMap, IntervalBox, Map, MapSystem, MoebiusMap, box_image
+from .maps import AffineMap, IntervalBox, Map, MapSystem, MoebiusMap, box_image, orbit
 from .shift import MarkovShiftSpec, Word, check_word
 from .splitting import NormalizedPair
 
@@ -167,12 +167,6 @@ def _enumerate_membership(
     words: list[Word] | None = [] if collect else None
     path: list[int] = []
 
-    def chain_contains() -> bool:
-        box = ambient
-        for sym in reversed(path):
-            box = box_image(maps[sym - 1], box)
-        return box.lo[si] <= x <= box.hi[si]
-
     def rec(measure, last: int) -> None:
         nonlocal total, count
         if len(path) == n:
@@ -186,7 +180,8 @@ def _enumerate_membership(
             if step == 0:
                 continue
             path.append(a)
-            if chain_contains():
+            box = orbit(box_image, maps, reversed(path), ambient)[-1]
+            if box.lo[si] <= x <= box.hi[si]:
                 rec(measure * step, a)
             path.pop()
 
@@ -284,13 +279,7 @@ def substitute_blocks(word: Word, block: Word, replacement: Word) -> Word:
 
 
 def _reverse_boxes_disjoint(maps, ambient, word_a: Word, word_b: Word) -> bool:
-    def rev_box(word: Word) -> IntervalBox:
-        box = ambient
-        for sym in reversed(word):
-            box = box_image(maps[sym - 1], box)
-        return box
-
-    ba, bb = rev_box(word_a), rev_box(word_b)
+    ba, bb = (orbit(box_image, maps, reversed(w), ambient)[-1] for w in (word_a, word_b))
     for s in range(ambient.dim):
         if ba.hi[s] >= bb.lo[s] and bb.hi[s] >= ba.lo[s]:
             return False

@@ -41,10 +41,11 @@ from .maps import (
     MapSystem,
     MonotoneType,
     box_image,
-    forward_box,
+    forward_box_chain,
     injective,
     map_points,
     monotone_classes,
+    orbit,
 )
 from .shift import PRIMITIVE, Word, check_word, is_admissible
 
@@ -170,8 +171,8 @@ def certify_split(sys: MapSystem, word_a: Word, word_b: Word) -> SplitWitness | 
         raise NotMonotoneSystem(
             "system has no common monotone class and is not an injective 1-D system"
         )
-    box_a = forward_box(sys, word_a)
-    box_b = forward_box(sys, word_b)
+    box_a = forward_box_chain(sys, word_a)[-1]
+    box_b = forward_box_chain(sys, word_b)[-1]
     got = _certify_boxes(sys, box_a, box_b, classes, injective_1d)
     if got is None:
         return None
@@ -243,15 +244,11 @@ def verify_split_horizon(
     word_a, word_b = _validate_pair(sys, word_a, word_b)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    box_a = forward_box(sys, word_a)
-    box_b = forward_box(sys, word_b)
+    box_a = forward_box_chain(sys, word_a)[-1]
+    box_b = forward_box_chain(sys, word_b)[-1]
     cloud = ambient_cloud(sys, cloud_size)
-    cloud_a = cloud
-    cloud_b = cloud
-    for s in word_a:
-        cloud_a = map_points(sys.map_for(s), cloud_a)
-    for s in word_b:
-        cloud_b = map_points(sys.map_for(s), cloud_b)
+    cloud_a = orbit(map_points, sys.maps, word_a, cloud)[-1]
+    cloud_b = orbit(map_points, sys.maps, word_b, cloud)[-1]
 
     cert = [True] * (n_max + 1)
     state = {"violation": None, "nodes": 0}
@@ -299,12 +296,13 @@ def verify_split_horizon(
         sampled = rng.integers(1, sys.k + 1, size=(prefix_samples, n_max)) if n_max else np.zeros((prefix_samples, 0), dtype=int)
         visit(0, box_a, box_b, cloud_a, cloud_b, ())
         for row in sampled:
-            ba, bb, ca, cb = box_a, box_b, cloud_a, cloud_b
-            for depth, j in enumerate(row, start=1):
-                f = sys.maps[int(j) - 1]
-                ba, bb = box_image(f, ba), box_image(f, bb)
-                ca, cb = map_points(f, ca), map_points(f, cb)
-                visit(depth, ba, bb, ca, cb, tuple(int(v) for v in row[:depth]))
+            word = tuple(int(v) for v in row)
+            boxes_a = orbit(box_image, sys.maps, word, box_a)
+            boxes_b = orbit(box_image, sys.maps, word, box_b)
+            clouds_a = orbit(map_points, sys.maps, word, cloud_a)
+            clouds_b = orbit(map_points, sys.maps, word, cloud_b)
+            for depth in range(1, n_max + 1):
+                visit(depth, boxes_a[depth], boxes_b[depth], clouds_a[depth], clouds_b[depth], word[:depth])
         exhaustive = False
         prefixes = prefix_samples
 

@@ -30,6 +30,7 @@ from .maps import (
     evaluate_map,
     forward_box_chain,
     map_points,
+    orbit,
     reverse_box,
     reverse_composition,
 )
@@ -66,16 +67,12 @@ def image_diameter_curve(
     upper = tuple(
         float(sum(float(h) - float(l) for l, h in zip(b.lo, b.hi))) for b in boxes
     )
-    cloud = ambient_cloud(sys, cloud_size)
-    lower = [float((cloud.max(axis=0) - cloud.min(axis=0)).sum())]
-    for sym in word[:n_max]:
-        cloud = map_points(sys.maps[sym - 1], cloud)
-        lower.append(float((cloud.max(axis=0) - cloud.min(axis=0)).sum()))
+    clouds = orbit(map_points, sys.maps, word[:n_max], ambient_cloud(sys, cloud_size))
     return DecayCurve(
         word=word[:n_max],
         n=tuple(range(n_max + 1)),
         upper=upper,
-        lower=tuple(lower),
+        lower=tuple(float((c.max(axis=0) - c.min(axis=0)).sum()) for c in clouds),
     )
 
 

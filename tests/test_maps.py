@@ -27,7 +27,6 @@ from markovprod import (
 from markovprod.maps import (
     batch_reverse_boxes,
     batch_reverse_points,
-    forward_box,
     injective,
     map_points,
     sign_table,
@@ -227,7 +226,7 @@ def test_reverse_box_chain_nested_prefixes():
 def test_reverse_box_equals_forward_box_of_reversed_word():
     sys = cantor_iid()
     word = (1, 2, 2, 1)
-    assert reverse_box(sys, word) == forward_box(sys, tuple(reversed(word)))
+    assert reverse_box(sys, word) == forward_box_chain(sys, tuple(reversed(word)))[-1]
 
 
 def test_batch_reverse_points_matches_scalar():
@@ -397,7 +396,7 @@ def test_box_image_projection_exact_for_samples(word, seed):
     # corner-seeded cloud attains each projection's endpoints exactly.
     sys = diagonal_2d()
     word = tuple(word)
-    box = forward_box(sys, word)
+    box = forward_box_chain(sys, word)[-1]
     cloud = ambient_cloud(sys, 128)
     for s in word:
         cloud = map_points(sys.map_for(s), cloud)
