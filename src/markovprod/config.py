@@ -6,7 +6,7 @@ problems, the 1-based row), raised before any computation starts.  Unknown
 keys are rejected everywhere.  `load_config` returns the resolved
 configuration with all defaults filled in, which report writers embed
 verbatim for reproducibility; `build_system` turns its system block into a
-MapSystem.
+MapSystem and checks the experiment values that depend on it.
 """
 
 from __future__ import annotations
@@ -217,10 +217,10 @@ def _as_phi(value, path: str) -> list:
 
 # Experiment block -> key -> (default, check).  A key left out takes its
 # default, which passes through the check (so lists come out fresh) unless
-# it is None.  An explicit null is rejected by the check, except for
-# split.prefix_samples.  Keys are checked in table order, which fixes the
-# error a block with several bad keys reports; `all` runs blocks in table
-# order.
+# it is None.  For a key whose default is None an explicit null means unset,
+# so a resolved config loads again; other keys' checks reject null.  Keys
+# are checked in table order, which fixes the error a block with several
+# bad keys reports; `all` runs blocks in table order.
 _BLOCK_SCHEMA = {
     "stationary": {},
     "split": {
@@ -290,8 +290,7 @@ def resolve_block(name: str, obj: dict) -> dict:
     out = {}
     for key, (default, check) in schema.items():
         value = obj.get(key, default)
-        unset = value is None and (key not in obj or key == "prefix_samples")
-        out[key] = None if unset else check(value, f"{path}.{key}")
+        out[key] = None if value is None and default is None else check(value, f"{path}.{key}")
     if name in _TOGETHER:
         a, b = _TOGETHER[name]
         if (out[a] is None) != (out[b] is None):
@@ -350,8 +349,33 @@ def build_system(config: dict) -> MapSystem:
         maps.append(f)
     try:
         shift = build_shift(block["transition_matrix"])
-        return MapSystem(shift=shift, maps=tuple(maps), ambient=ambient)
+        system = MapSystem(shift=shift, maps=tuple(maps), ambient=ambient)
     except ConfigError:
         raise
     except MarkovProdError as exc:
         raise ConfigError(f"system block rejected: {exc}") from exc
+    _check_blocks_fit(config["experiments"], system)
+    return system
+
+
+def _check_blocks_fit(experiments: dict, system: MapSystem) -> None:
+    """Reject the block values that the system cannot take: coordinates above
+    its dimension, an ergodic start point of another dimension or outside the
+    ambient box, and fewer operator particles than states."""
+    def block(name: str) -> dict:
+        return experiments.get(name) or resolve_block(name, {})
+
+    dim = system.dim
+    ergodic = block("ergodic")
+    coordinates = [("experiments.oracle.s", block("oracle")["s"])]
+    coordinates += [(f"experiments.ergodic.phi[{i}]", s) for i, s in enumerate(ergodic["phi"][1:], start=1)]
+    for path, s in coordinates:
+        if s > dim:
+            raise ConfigError(f"{path} must be <= {dim}, the dimension of the system")
+    x = ergodic["x"]
+    if x is not None and len(x) != dim:
+        raise ConfigError(f"experiments.ergodic.x must have {dim} entries")
+    if x is not None and not system.ambient.contains(x):
+        raise ConfigError("experiments.ergodic.x must lie in the ambient box")
+    if block("operator")["particles"] < system.k:
+        raise ConfigError(f"experiments.operator.particles must be >= {system.k}, the number of states")

@@ -370,6 +370,33 @@ def test_half_specified_word_pair_rejected(tmp_path, capsys):
     assert "word_a and word_b must be given together" in capsys.readouterr().err
 
 
+# Values that pass the block schema but do not fit the 1-D, two-state
+# system of configs/cantor_iid.json.
+SYSTEM_MISFITS = [
+    ("ergodic", {"x": [0.3, 0.4]}, "experiments.ergodic.x must have 1 entries"),
+    ("ergodic", {"x": [5.0]}, "experiments.ergodic.x must lie in the ambient box"),
+    ("ergodic", {"phi": ["coordinate", 2]}, "experiments.ergodic.phi[1] must be <= 1, the dimension"),
+    ("ergodic", {"phi": ["product", 1, 2]}, "experiments.ergodic.phi[2] must be <= 1, the dimension"),
+    ("oracle", {"s": 2}, "experiments.oracle.s must be <= 1, the dimension of the system"),
+    ("operator", {"particles": 1}, "experiments.operator.particles must be >= 2, the number of states"),
+]
+
+
+@pytest.mark.parametrize(
+    "block, change, message", SYSTEM_MISFITS, ids=[f"{b}-{json.dumps(c)}" for b, c, _ in SYSTEM_MISFITS]
+)
+def test_value_that_does_not_fit_the_system_is_config_error(tmp_path, capsys, block, change, message):
+    cfg = json.loads((CONFIGS_DIR / "cantor_iid.json").read_text())
+    cfg["experiments"][block].update(change)
+    cfg["out"] = str(tmp_path / "reports")
+    path = write_config(tmp_path, cfg)
+    assert main([block, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])

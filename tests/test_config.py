@@ -13,6 +13,8 @@ import pytest
 from markovprod.config import EXPERIMENT_BLOCKS, load_config, resolve_block, validate_config
 from markovprod.errors import ConfigError
 
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
+
 SYSTEM = {
     "ambient": {"lo": [0.0], "hi": [1.0]},
     "transition_matrix": [[0.9, 0.1], [0.2, 0.8]],
@@ -114,6 +116,28 @@ def test_prefix_samples_accepts_an_explicit_null():
     assert resolved["prefix_samples"] is None
 
 
+def test_explicit_null_means_unset_for_every_key_whose_default_is_null():
+    given = {
+        "split": {"word_a": None, "word_b": None, "prefix_samples": None},
+        "oracle": {"xi": None, "eta": None},
+        "ergodic": {"x": None},
+    }
+    nulls = {(name, key) for name, default in DEFAULTS.items() for key, v in default.items() if v is None}
+    assert nulls == {(name, key) for name, block in given.items() for key in block}
+    resolved = resolve(given)["experiments"]
+    for name in given:
+        assert json.dumps(resolved[name], sort_keys=True) == json.dumps(DEFAULTS[name], sort_keys=True)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_resolved_config_loads_again(tmp_path, path):
+    # Every summary embeds the resolved config; loading it again must give it back.
+    resolved = load_config(str(path))
+    copy_path = tmp_path / "resolved.json"
+    copy_path.write_text(json.dumps(resolved, indent=2, sort_keys=True))
+    assert json.dumps(load_config(str(copy_path)), sort_keys=True) == json.dumps(resolved, sort_keys=True)
+
+
 # (experiments, exact ConfigError text)
 REJECTIONS = [
     # blocks
@@ -124,7 +148,7 @@ REJECTIONS = [
     ({"split": {"bogus": 1}}, "unknown key experiments.split.bogus"),
     ({"split": {"word_a": "12", "word_b": [1]}}, "experiments.split.word_a must be a nonempty array of symbols"),
     ({"split": {"word_a": [], "word_b": [1]}}, "experiments.split.word_a must be a nonempty array of symbols"),
-    ({"split": {"word_a": None, "word_b": [1]}}, "experiments.split.word_a must be a nonempty array of symbols"),
+    ({"split": {"word_a": 1, "word_b": [1]}}, "experiments.split.word_a must be a nonempty array of symbols"),
     ({"split": {"word_a": [0], "word_b": [1]}}, "experiments.split.word_a[0] must be >= 1"),
     ({"split": {"word_a": [1, 1.0], "word_b": [1]}}, "experiments.split.word_a[1] must be an integer"),
     ({"split": {"word_a": [1], "word_b": [True]}}, "experiments.split.word_b[0] must be an integer"),
@@ -196,7 +220,7 @@ REJECTIONS = [
     ({"ergodic": {"n": 99}}, "experiments.ergodic.n must be >= 100"),
     ({"ergodic": {"x": 0.5}}, "experiments.ergodic.x must be a nonempty array of numbers"),
     ({"ergodic": {"x": []}}, "experiments.ergodic.x must be a nonempty array of numbers"),
-    ({"ergodic": {"x": None}}, "experiments.ergodic.x must be a nonempty array of numbers"),
+    ({"ergodic": {"x": "0.5"}}, "experiments.ergodic.x must be a nonempty array of numbers"),
     ({"ergodic": {"x": ["0.5"]}}, "experiments.ergodic.x[0] must be a number"),
     ({"ergodic": {"phi": "coordinate"}}, 'experiments.ergodic.phi must be an array like ["coordinate", 1]'),
     ({"ergodic": {"phi": []}}, 'experiments.ergodic.phi must be an array like ["coordinate", 1]'),
@@ -222,6 +246,8 @@ REJECTIONS = [
     ({"ergodic": {"target_samples": 1, "phi": []}}, 'experiments.ergodic.phi must be an array like ["coordinate", 1]'),
     ({"ergodic": {"phi": [], "x": []}}, "experiments.ergodic.x must be a nonempty array of numbers"),
     ({"sync": {"cloud_size": 0, "trials": 0}}, "experiments.sync.trials must be >= 1"),
+    # an explicit null leaves a key unset, so this is half a pair
+    ({"split": {"word_a": None, "word_b": [1]}}, "experiments.split: word_a and word_b must be given together"),
 ]
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from golden_diff import compare_dirs  # noqa: E402
+from golden_diff import compare_dirs, extra_invocations  # noqa: E402
+from markovprod.config import load_config  # noqa: E402
 
 
 def make_outputs(root: Path) -> Path:
@@ -46,3 +47,21 @@ def test_truncated_file_is_flagged_at_its_end(tmp_path):
     b = make_outputs(tmp_path / "b")
     (b / "operator.csv").write_bytes(b"step,distance\n")
     assert compare_dirs(a, b) == ["operator.csv: differs from byte 14 (22 vs 14 bytes)"]
+
+
+def test_extra_runs_change_one_key_of_a_shipped_config(tmp_path):
+    runs = {inv.label: inv for inv in extra_invocations(tmp_path)}
+    assert {label: inv.subcommand for label, inv in runs.items()} == {
+        "oracle-float-cantor_markov": "oracle",
+        "split-sampled-diagonal_2d": "split-check",
+    }
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for label, (name, block, key, value) in {
+        "oracle-float-cantor_markov": ("cantor_markov", "oracle", "exact", False),
+        "split-sampled-diagonal_2d": ("diagonal_2d", "split", "prefix_samples", 500),
+    }.items():
+        shipped = load_config(str(configs / f"{name}.json"))
+        changed = load_config(str(runs[label].config))
+        assert shipped["experiments"][block][key] != value
+        shipped["experiments"][block][key] = value
+        assert changed == shipped

@@ -1,19 +1,25 @@
-"""Bit-equality of the operator and the ergodic orbit with plain references.
+"""Bit-equality of the operator, the ergodic orbit and the word compositions
+with plain references.
 
 The references below are the straightforward per-step and per-call
-implementations that the library's chunked orbit and memoized measures
+implementations that the library's chunked orbit, memoized measures and
+single composition primitive (`maps.orbit`, plus one masked batch loop)
 replace.  Every comparison is `==` on floats (plus `repr`, which also tells
-0.0 from -0.0): the faster code must compute the same doubles, not close
-ones.
+0.0 from -0.0): the new code must compute the same doubles, not close ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple
+from fractions import Fraction
+from functools import partial
+from itertools import product, takewhile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import UNIT, cantor_markov, diagonal_2d, moebius_pair, single_contraction
 from markovprod import (
@@ -32,14 +38,28 @@ from markovprod import (
     wasserstein_1d,
     weak_star_distance,
 )
-from markovprod import synchronization
+from markovprod import oracle, synchronization
+from markovprod.maps import (
+    batch_reverse_boxes,
+    batch_reverse_points,
+    box_image,
+    evaluate_map,
+    forward_box_chain,
+    forward_orbit,
+    map_boxes,
+    map_points,
+    reverse_box,
+    reverse_box_chain,
+    reverse_composition,
+)
 from markovprod.markov_operator import (
     StabilityResult,
     StabilityRow,
     StateTaggedMeasure,
     _allocate_slots,
 )
-from markovprod.synchronization import BATCH_COUNT, ErgodicResult
+from markovprod.splitting import ambient_cloud, verify_split_horizon
+from markovprod.synchronization import BATCH_COUNT, DecayCurve, ErgodicResult, image_diameter_curve
 from markovprod.synchronization import test_function as observable
 
 # --- references -------------------------------------------------------------
@@ -402,3 +422,324 @@ def test_stability_experiment_matches_reference(factory, budget):
                                    target_depth=30)
     assert len(new.rows) == 3 * 7
     assert_bit_equal(new, ref)
+
+
+# --- word compositions --------------------------------------------------------
+# The per-symbol loops that maps.orbit and the shared masked batch loop
+# replace, as they were written out in maps, oracle, splitting and
+# synchronization.
+
+
+def ref_forward_orbit(sys, word, x):
+    x = tuple(x)
+    for s in word:
+        x = evaluate_map(sys.map_for(s), x)
+    return x
+
+
+def ref_reverse_composition(sys, word, x):
+    x = tuple(x)
+    for s in reversed(word):
+        x = evaluate_map(sys.map_for(s), x)
+    return x
+
+
+def ref_forward_box_chain(sys, word, box=None):
+    cur = sys.ambient if box is None else box
+    out = [cur]
+    for s in word:
+        cur = box_image(sys.map_for(s), cur)
+        out.append(cur)
+    return out
+
+
+def ref_reverse_box(sys, word, box=None):
+    cur = sys.ambient if box is None else box
+    for s in reversed(word):
+        cur = box_image(sys.map_for(s), cur)
+    return cur
+
+
+def ref_reverse_box_chain(sys, word, box=None):
+    start = sys.ambient if box is None else box
+    out = [start]
+    for j in range(1, len(word) + 1):
+        cur = start
+        for s in reversed(word[:j]):
+            cur = box_image(sys.map_for(s), cur)
+        out.append(cur)
+    return out
+
+
+def ref_reverse_boxes_disjoint(maps, ambient, word_a, word_b):
+    def rev_box(word):
+        box = ambient
+        for sym in reversed(word):
+            box = box_image(maps[sym - 1], box)
+        return box
+
+    ba, bb = rev_box(word_a), rev_box(word_b)
+    for s in range(ambient.dim):
+        if ba.hi[s] >= bb.lo[s] and bb.hi[s] >= ba.lo[s]:
+            return False
+    return True
+
+
+def ref_enumerate_membership(maps, ambient, tables, x, s, n):
+    k = len(maps)
+    si = s - 1
+    total = tables.one * 0
+    count = 0
+    words = []
+    path = []
+
+    def chain_contains():
+        box = ambient
+        for sym in reversed(path):
+            box = box_image(maps[sym - 1], box)
+        return box.lo[si] <= x <= box.hi[si]
+
+    def rec(measure, last):
+        nonlocal total, count
+        if len(path) == n:
+            total = total + measure
+            count += 1
+            words.append(tuple(path))
+            return
+        for a in range(1, k + 1):
+            step = tables.q[last - 1][a - 1] if last else tables.p[a - 1]
+            if step == 0:
+                continue
+            path.append(a)
+            if chain_contains():
+                rec(measure * step, a)
+            path.pop()
+
+    if n == 0:
+        return tables.one, 1, [()]
+    rec(tables.one, 0)
+    return total, count, words
+
+
+def ref_sampled_horizon(sys, word_a, word_b, n_max, prefix_samples, cloud_size, seed):
+    """Per-depth certification flags and the first violation of the sampled
+    horizon walk, with the cloud loops written out."""
+    box_a = ref_forward_box_chain(sys, word_a)[-1]
+    box_b = ref_forward_box_chain(sys, word_b)[-1]
+    cloud = ambient_cloud(sys, cloud_size)
+    cloud_a = cloud
+    cloud_b = cloud
+    for s in word_a:
+        cloud_a = map_points(sys.map_for(s), cloud_a)
+    for s in word_b:
+        cloud_b = map_points(sys.map_for(s), cloud_b)
+    cert = [True] * (n_max + 1)
+    violation = None
+
+    def visit(depth, ba, bb, ca, cb, prefix):
+        nonlocal violation
+        if any(ba.hi[s] >= bb.lo[s] and bb.hi[s] >= ba.lo[s] for s in range(sys.dim)):
+            cert[depth] = False
+        if violation is None:
+            a_lo, a_hi = ca.min(axis=0), ca.max(axis=0)
+            b_lo, b_hi = cb.min(axis=0), cb.max(axis=0)
+            for s in range(sys.dim):
+                if a_hi[s] >= b_lo[s] and b_hi[s] >= a_lo[s]:
+                    violation = (depth, s + 1, prefix)
+                    break
+
+    rng = np.random.default_rng(seed)
+    sampled = rng.integers(1, sys.k + 1, size=(prefix_samples, n_max))
+    visit(0, box_a, box_b, cloud_a, cloud_b, ())
+    for row in sampled:
+        ba, bb, ca, cb = box_a, box_b, cloud_a, cloud_b
+        for depth, j in enumerate(row, start=1):
+            f = sys.maps[int(j) - 1]
+            ba, bb = box_image(f, ba), box_image(f, bb)
+            ca, cb = map_points(f, ca), map_points(f, cb)
+            visit(depth, ba, bb, ca, cb, tuple(int(v) for v in row[:depth]))
+    return cert, violation
+
+
+def ref_image_diameter_curve(sys, word, n_max, cloud_size):
+    boxes = ref_forward_box_chain(sys, word[:n_max])
+    upper = tuple(float(sum(float(h) - float(l) for l, h in zip(b.lo, b.hi))) for b in boxes)
+    cloud = ambient_cloud(sys, cloud_size)
+    lower = [float((cloud.max(axis=0) - cloud.min(axis=0)).sum())]
+    for sym in word[:n_max]:
+        cloud = map_points(sys.maps[sym - 1], cloud)
+        lower.append(float((cloud.max(axis=0) - cloud.min(axis=0)).sum()))
+    return DecayCurve(word=word[:n_max], n=tuple(range(n_max + 1)), upper=upper, lower=tuple(lower))
+
+
+def ref_batch_reverse_points(sys, words, anchor):
+    words = np.asarray(words)
+    n = words.shape[0]
+    pts = np.tile(np.asarray(anchor, dtype=float), (n, 1))
+    for t in range(words.shape[1] - 1, -1, -1):
+        col = words[:, t]
+        for j in range(1, sys.k + 1):
+            mask = col == j
+            if mask.any():
+                pts[mask] = map_points(sys.maps[j - 1], pts[mask])
+    return pts
+
+
+def ref_batch_reverse_boxes(sys, words):
+    words = np.asarray(words)
+    n = words.shape[0]
+    lo = np.tile(np.asarray(sys.ambient.lo, dtype=float), (n, 1))
+    hi = np.tile(np.asarray(sys.ambient.hi, dtype=float), (n, 1))
+    for t in range(words.shape[1] - 1, -1, -1):
+        col = words[:, t]
+        for j in range(1, sys.k + 1):
+            mask = col == j
+            if mask.any():
+                lo[mask], hi[mask] = map_boxes(sys.maps[j - 1], lo[mask], hi[mask])
+    return lo, hi
+
+
+def random_affine_2d(seed):
+    """Random self-maps of the unit square whose off-diagonal entries are
+    negative, so every box image mixes lower and upper corners."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    for _ in range(2):
+        A = rng.uniform(-0.3, 0.3, size=(2, 2))
+        A[0, 1], A[1, 0] = -abs(A[0, 1]), -abs(A[1, 0])
+        low = np.minimum(A, 0.0).sum(axis=1)
+        high = np.maximum(A, 0.0).sum(axis=1)
+        b = rng.uniform(0.01 - low, 0.99 - high)
+        maps.append(AffineMap(tuple(map(tuple, A.tolist())), tuple(b.tolist())))
+    P = rng.uniform(0.1, 1.0, size=(2, 2))
+    return MapSystem(
+        shift=build_shift((P / P.sum(axis=1, keepdims=True)).tolist()),
+        maps=tuple(maps),
+        ambient=IntervalBox((0.0, 0.0), (1.0, 1.0)),
+    )
+
+
+def fraction_system(factory):
+    """The same system with Fraction coefficients and ambient box."""
+    sys = factory()
+    maps, ambient = oracle._scalar_geometry(sys, exact=True)
+    return MapSystem(ambient=ambient, maps=maps, shift=sys.shift)
+
+
+def sample_words_of(sys, rng, count, max_len):
+    lengths = [0] + [int(n) for n in rng.integers(1, max_len + 1, size=count)]
+    return [tuple(int(a) for a in rng.integers(1, sys.k + 1, size=n)) for n in lengths]
+
+
+def inner_box(box):
+    """A start box strictly inside `box`, in the box's own number type."""
+    return IntervalBox(
+        tuple(a + (b - a) / 4 for a, b in zip(box.lo, box.hi)),
+        tuple(a + (b - a) * 3 / 5 for a, b in zip(box.lo, box.hi)),
+    )
+
+
+def check_scalar_compositions(sys, seed):
+    rng = np.random.default_rng(seed)
+    x = tuple(a + (b - a) * 3 / 7 for a, b in zip(sys.ambient.lo, sys.ambient.hi))
+    for word in sample_words_of(sys, rng, 6, 9):
+        assert_bit_equal(forward_orbit(sys, word, x), ref_forward_orbit(sys, word, x))
+        assert_bit_equal(reverse_composition(sys, word, x), ref_reverse_composition(sys, word, x))
+        for box in (None, inner_box(sys.ambient)):
+            assert_bit_equal(forward_box_chain(sys, word, box), ref_forward_box_chain(sys, word, box))
+            assert_bit_equal(reverse_box(sys, word, box), ref_reverse_box(sys, word, box))
+            assert_bit_equal(reverse_box_chain(sys, word, box), ref_reverse_box_chain(sys, word, box))
+
+
+def check_oracle_chains(sys, exact):
+    maps, ambient = oracle._scalar_geometry(sys, exact)
+    tables = oracle._tables(sys.shift, exact)
+    for s in range(1, sys.dim + 1):
+        for x in oracle.default_grid(sys, s, 5):
+            x = Fraction(x) if exact else x
+            for n in (0, 1, 4):
+                new = oracle._enumerate_membership(maps, ambient, tables, x, s, n, collect=True)
+                assert_bit_equal(new, ref_enumerate_membership(maps, ambient, tables, x, s, n))
+    for pair in [((1,), (2,)), ((1, 2), (2, 1)), ((1, 1, 2), (1, 2, 2)), ((sys.k, 1), (sys.k, 1))]:
+        assert oracle._reverse_boxes_disjoint(maps, ambient, *pair) == ref_reverse_boxes_disjoint(
+            maps, ambient, *pair
+        )
+
+
+HORIZON_PAIRS = [((1, 1), (2, 1)), ((1, 2), (2, 2)), ((2, 1), (1, 2, 1))]
+
+
+def check_clouds(sys, seed):
+    for (word_a, word_b), n_max in product(HORIZON_PAIRS, (0, 1, 5)):
+        report = verify_split_horizon(sys, word_a, word_b, n_max, prefix_samples=30, cloud_size=9,
+                                      seed=seed)
+        cert, violation = ref_sampled_horizon(sys, word_a, word_b, n_max, 30, 9, seed)
+        per_n = tuple(
+            "violated" if violation is not None and violation[0] == d
+            else "certified" if ok else "not-falsified"
+            for d, ok in enumerate(cert)
+        )
+        assert_bit_equal(report.per_n, per_n)
+        assert_bit_equal(report.violation, violation)
+        assert report.certified_to == len(list(takewhile(bool, cert))) - 1
+    word = tuple(int(a) for a in np.random.default_rng(seed).integers(1, sys.k + 1, size=12))
+    for n_max in (0, 3, 12):
+        assert_bit_equal(image_diameter_curve(sys, word, n_max, 17),
+                         ref_image_diameter_curve(sys, word, n_max, 17))
+
+
+def check_batches(sys, words):
+    anchor = sys.ambient.center()
+    assert_bit_equal(batch_reverse_points(sys, words, anchor).tolist(),
+                     ref_batch_reverse_points(sys, words, anchor).tolist())
+    new_lo, new_hi = batch_reverse_boxes(sys, words)
+    ref_lo, ref_hi = ref_batch_reverse_boxes(sys, words)
+    assert_bit_equal((new_lo.tolist(), new_hi.tolist()), (ref_lo.tolist(), ref_hi.tolist()))
+
+
+# Seeds 0, 6, 8 and 25 give random systems whose sampled horizon walk
+# (seed 2) first finds a cloud overlap at depth 2 to 4 of some pair, and 14
+# and 16 ones whose enclosures separate or overlap only from some depth on.
+FLOAT_SYSTEMS = [cantor_markov, moebius_pair, affine_1d, signed_zero_1d, affine_2d, affine_3d,
+                 three_state_1d, diagonal_2d] + [
+    pytest.param(partial(random_affine_2d, seed), id=f"random_affine_2d-{seed}")
+    for seed in (0, 6, 8, 14, 16, 25)
+]
+
+
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+def test_compositions_match_the_per_symbol_loops(factory):
+    sys = factory()
+    check_scalar_compositions(sys, seed=1)
+    check_oracle_chains(sys, exact=False)
+    check_oracle_chains(sys, exact=True)
+    check_clouds(sys, seed=2)
+    words = np.random.default_rng(3).integers(1, sys.k + 1, size=(40, 7))
+    for depth in (0, 1, 7):
+        check_batches(sys, words[:, :depth])
+
+
+@pytest.mark.parametrize("factory", [cantor_markov, moebius_pair, affine_2d, three_state_1d])
+def test_fraction_compositions_match_the_per_symbol_loops(factory):
+    check_scalar_compositions(fraction_system(factory), seed=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compositions_match_on_random_affine_2d_systems(seed):
+    sys = random_affine_2d(seed)
+    assert any(a < 0 for f in sys.maps for a in (f.matrix[0][1], f.matrix[1][0]))
+    check_scalar_compositions(sys, seed)
+    check_oracle_chains(sys, exact=False)
+    check_clouds(sys, seed)
+    words = np.random.default_rng(seed).integers(1, 3, size=(30, 6))
+    check_batches(sys, words)
+
+
+def test_batch_loop_skips_symbols_absent_from_a_column():
+    # k = 3; column 0 holds only symbol 1, column 1 never holds symbol 3,
+    # and the last column holds every symbol.
+    sys = three_state_1d()
+    words = np.array([[1, 2, 3], [1, 1, 1], [1, 2, 2], [1, 1, 3]])
+    check_batches(sys, words)
+    check_batches(sys, words[:1])

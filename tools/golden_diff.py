@@ -10,9 +10,13 @@ tree, and for each seed in `SEEDS`, the tool runs `python -m markovprod.cli`:
 
 - `all` on every shipped config under the tree's own `configs/`;
 - every benchmark workload of `perfbench/run.py` (`WORKLOADS`), with the
-  config file that `workload_config` gives for it.  Both trees run the
-  same file; an invocation that repeats a shipped-config run of the tree
-  byte for byte is run once.
+  config file that `workload_config` gives for it;
+- the `EXTRA_RUNS`, which cover code paths that neither of the above
+  reaches: the float oracle and the sampled-prefix horizon walk.
+
+Both trees run the same workload and extra config files, written once from
+this checkout; an invocation that repeats a shipped-config run of the tree
+byte for byte is run once.
 
 Every run writes to its own output directory.  The two trees must agree on
 each run's exit code and on the name and bytes of every file it writes.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +40,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
+
+# Every shipped oracle block sets `exact: true` and none sets
+# `prefix_samples`, so these runs are the only ones to byte-compare the
+# float oracle and the sampled horizon walk.  Each entry is (label,
+# subcommand, shipped config, block -> keys replaced in that block).
+EXTRA_RUNS = (
+    ("oracle-float-cantor_markov", "oracle", "cantor_markov.json", {"oracle": {"exact": False}}),
+    ("split-sampled-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"prefix_samples": 500}}),
+)
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,19 @@ def workload_invocations(config_dir: Path) -> list[Invocation]:
     return found
 
 
+def extra_invocations(config_dir: Path) -> list[Invocation]:
+    """The `EXTRA_RUNS`, each with its config file written to `config_dir`."""
+    found = []
+    for label, subcommand, name, changes in EXTRA_RUNS:
+        config = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
+        for block, keys in changes.items():
+            config["experiments"][block].update(keys)
+        path = config_dir / f"{label}.json"
+        path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+        found.append(Invocation(label, subcommand, path))
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against")
@@ -134,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         extract(args.rev, old_tree)
         config_dir = base / "workload-configs"
         config_dir.mkdir()
-        workloads = workload_invocations(config_dir)
+        workloads = workload_invocations(config_dir) + extra_invocations(config_dir)
         trees = {"rev": old_tree, "work": ROOT}
 
         jobs = {}
