@@ -1,5 +1,11 @@
 """Command-line laboratory: one subcommand per experiment plus `all`.
 
+Each subcommand's runner in REGISTRY is called with its resolved experiment
+block as `runner(sys_, config, block, seed) -> (results, tables)`; `tables`
+maps each CSV file name to its `(header, rows)`, in write order.  `_run`
+alone writes the files, and a run fails when some runner's results carry a
+`verdict` other than `holds`.
+
 Runs are deterministic: a (config, seed) pair yields bit-identical reports,
 so no timestamps or machine identifiers appear in any output.  Each run
 writes its CSV data files plus one JSON summary embedding the full resolved
@@ -22,11 +28,12 @@ import json
 import os
 import sys as _sys
 import tempfile
+import traceback
 
 import numpy as np
 
 from . import __version__
-from .config import build_system, load_config, resolve_block
+from .config import build_system, experiment_block, load_config
 from .errors import ConfigError, MarkovProdError
 from .maps import IntervalBox, MapSystem
 from .markov_operator import build_initial, stability_experiment
@@ -98,7 +105,7 @@ def _resolve_witness(sys_: MapSystem, split_cfg: dict) -> SplitWitness | None:
 def _split_status(sys_: MapSystem, config: dict) -> dict:
     """Cheap witness lookup recorded by the sampling experiments, whose
     conclusions are only meaningful for splitting systems."""
-    split_cfg = config["experiments"].get("split") or resolve_block("split", {})
+    split_cfg = experiment_block(config["experiments"], "split")
     try:
         witness = _resolve_witness(sys_, split_cfg)
     except MarkovProdError as exc:
@@ -108,11 +115,10 @@ def _split_status(sys_: MapSystem, config: dict) -> dict:
     return {"certified": True, "witness": _witness_json(witness)}
 
 
-def _run_stationary(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_stationary(sys_: MapSystem, config: dict, block: dict, seed: int):
     shift = sys_.shift
     p = shift.p
     rows = [[j + 1, float(p[j])] for j in range(shift.k)]
-    _write_csv(os.path.join(outdir, "stationary.csv"), ["state", "p_stationary"], rows)
     residual = float(np.abs(p @ shift.P - p).max())
     results = {
         "classification": shift.classification,
@@ -121,16 +127,15 @@ def _run_stationary(sys_: MapSystem, config: dict, block: dict, outdir: str, see
         "stationarity_residual": residual,
         "verdict": HOLDS if residual <= 1e-12 else FAILS,
     }
-    return results, results["verdict"] == HOLDS, ["stationary.csv"]
+    return results, {"stationary.csv": (["state", "p_stationary"], rows)}
 
 
-def _run_split_check(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_split_check(sys_: MapSystem, config: dict, block: dict, seed: int):
     if block.get("word_a") is None:
         raise ConfigError("experiments.split.word_a and word_b are required for split-check")
     witness = certify_split(sys_, tuple(block["word_a"]), tuple(block["word_b"]))
     if witness is None:
-        results = {"witness": None, "verdict": FAILS, "detail": "pair admits no certificate"}
-        return results, False, []
+        return {"witness": None, "verdict": FAILS, "detail": "pair admits no certificate"}, {}
     report = verify_split_horizon(
         sys_,
         witness.word_a,
@@ -141,7 +146,6 @@ def _run_split_check(sys_: MapSystem, config: dict, block: dict, outdir: str, se
         seed=seed,
     )
     rows = [[n, status] for n, status in enumerate(report.per_n)]
-    _write_csv(os.path.join(outdir, "horizon.csv"), ["n", "status"], rows)
     results = {
         "witness": _witness_json(witness),
         "horizon": {
@@ -160,18 +164,14 @@ def _run_split_check(sys_: MapSystem, config: dict, block: dict, outdir: str, se
         },
         "verdict": FAILS if report.verdict == "violated" else HOLDS,
     }
-    return results, results["verdict"] == HOLDS, ["horizon.csv"]
+    return results, {"horizon.csv": (["n", "status"], rows)}
 
 
-def _run_split_search(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_split_search(sys_: MapSystem, config: dict, block: dict, seed: int):
     witness = search_witness(sys_, block["max_len"])
     if witness is None:
-        results = {
-            "witness": None,
-            "verdict": FAILS,
-            "detail": f"no witness up to length {block['max_len']}",
-        }
-        return results, False, []
+        detail = f"no witness up to length {block['max_len']}"
+        return {"witness": None, "verdict": FAILS, "detail": detail}, {}
     results = {"witness": _witness_json(witness), "verdict": HOLDS}
     try:
         pair = normalize_witness(
@@ -185,13 +185,13 @@ def _run_split_search(sys_: MapSystem, config: dict, block: dict, outdir: str, s
     except MarkovProdError as exc:
         results["normalized"] = None
         results["normalize_error"] = str(exc)
-    return results, True, []
+    return results, {}
 
 
 def _oracle_pair(sys_: MapSystem, config: dict, block: dict):
     if block.get("xi") is not None:
         return (tuple(block["xi"]), tuple(block["eta"])), None
-    split_cfg = config["experiments"].get("split") or resolve_block("split", {})
+    split_cfg = experiment_block(config["experiments"], "split")
     witness = _resolve_witness(sys_, split_cfg)
     if witness is None:
         raise ConfigError(
@@ -203,7 +203,7 @@ def _oracle_pair(sys_: MapSystem, config: dict, block: dict):
     return pair, witness
 
 
-def _run_oracle(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_oracle(sys_: MapSystem, config: dict, block: dict, seed: int):
     pair, witness = _oracle_pair(sys_, config, block)
     grid = default_grid(sys_, block["s"], block["grid_points"])
     report = verify_bounds(
@@ -212,13 +212,12 @@ def _run_oracle(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: i
         s=block["s"],
         x_grid=grid,
         ell_max=block["ell_max"],
-        exact=block["exact"] or exact,
+        exact=block["exact"],
     )
     rows = [
         [row.ell, float(row.x), float(row.lhs), float(row.rhs), HOLDS if row.holds else FAILS]
         for row in report.rows
     ]
-    _write_csv(os.path.join(outdir, "oracle.csv"), ["ell", "x", "lhs", "rhs", "verdict"], rows)
     results = {
         "word": list(report.word),
         "replacement": list(report.replacement),
@@ -234,10 +233,10 @@ def _run_oracle(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: i
         "witness": None if witness is None else _witness_json(witness),
         "verdict": HOLDS if report.all_hold else FAILS,
     }
-    return results, report.all_hold, ["oracle.csv"]
+    return results, {"oracle.csv": (["ell", "x", "lhs", "rhs", "verdict"], rows)}
 
 
-def _run_operator(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_operator(sys_: MapSystem, config: dict, block: dict, seed: int):
     initials = {
         kind: build_initial(sys_, kind, block["particles"], seed=seed + 31 * i)
         for i, kind in enumerate(block["initials"])
@@ -252,15 +251,8 @@ def _run_operator(sys_: MapSystem, config: dict, block: dict, outdir: str, seed:
         target_depth=block["target_depth"],
     )
     rows = [[r.step, r.initial_id, r.distance, r.mass_gap] for r in result.rows]
-    _write_csv(
-        os.path.join(outdir, "operator.csv"),
-        ["step", "initial_id", "distance", "mass_gap"],
-        rows,
-    )
     final = {
-        name: next(
-            r.distance for r in reversed(result.rows) if r.initial_id == name
-        )
+        name: next(r.distance for r in reversed(result.rows) if r.initial_id == name)
         for name in block["initials"]
     }
     results = {
@@ -268,10 +260,10 @@ def _run_operator(sys_: MapSystem, config: dict, block: dict, outdir: str, seed:
         "target_diameter": result.target_diameter,
         "final_distance": {k: float(v) for k, v in sorted(final.items())},
     }
-    return results, True, ["operator.csv"]
+    return results, {"operator.csv": (["step", "initial_id", "distance", "mass_gap"], rows)}
 
 
-def _run_sync(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_sync(sys_: MapSystem, config: dict, block: dict, seed: int):
     result = sync_experiment(
         sys_, block["trials"], block["n_max"], seed=seed, cloud_size=block["cloud_size"]
     )
@@ -280,35 +272,35 @@ def _run_sync(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int
         for fit, curve in zip(result.fits, result.curves)
         for n, u, l in zip(curve.n, curve.upper, curve.lower)
     ]
-    _write_csv(os.path.join(outdir, "sync_curves.csv"), ["trial", "n", "upper", "lower"], curve_rows)
     fit_rows = [[f.trial, f.q_hat, f.c_hat] for f in result.fits]
-    _write_csv(os.path.join(outdir, "sync_fits.csv"), ["trial", "q_hat", "C_hat"], fit_rows)
     results = {
         "max_q": result.max_q,
         "contracting_fraction": result.contracting_fraction,
         "trials": block["trials"],
         "split": _split_status(sys_, config),
     }
-    return results, True, ["sync_curves.csv", "sync_fits.csv"]
+    return results, {
+        "sync_curves.csv": (["trial", "n", "upper", "lower"], curve_rows),
+        "sync_fits.csv": (["trial", "q_hat", "C_hat"], fit_rows),
+    }
 
 
-def _run_contract(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_contract(sys_: MapSystem, config: dict, block: dict, seed: int):
     result = measure_contraction_experiment(sys_, block["trials"], block["n_max"], seed=seed)
     rows = [[r.trial, r.s, r.n, r.length] for r in result.rows]
-    _write_csv(os.path.join(outdir, "contract_rows.csv"), ["trial", "s", "n", "length"], rows)
     fit_rows = [[f.trial, f.s, f.q_hat, f.c_hat] for f in result.fits]
-    _write_csv(
-        os.path.join(outdir, "contract_fits.csv"), ["trial", "s", "q_hat", "C_hat"], fit_rows
-    )
     results = {
         "max_q": max(f.q_hat for f in result.fits),
         "trials": block["trials"],
         "split": _split_status(sys_, config),
     }
-    return results, True, ["contract_rows.csv", "contract_fits.csv"]
+    return results, {
+        "contract_rows.csv": (["trial", "s", "n", "length"], rows),
+        "contract_fits.csv": (["trial", "s", "q_hat", "C_hat"], fit_rows),
+    }
 
 
-def _run_weak_hyp(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_weak_hyp(sys_: MapSystem, config: dict, block: dict, seed: int):
     result = weak_hyperbolicity_experiment(
         sys_, block["trials"], block["depth"], block["tol"], seed=seed
     )
@@ -319,10 +311,10 @@ def _run_weak_hyp(sys_: MapSystem, config: dict, block: dict, outdir: str, seed:
         "tol": result.tol,
         "max_diameter": result.max_diameter,
     }
-    return results, True, []
+    return results, {}
 
 
-def _run_coding(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_coding(sys_: MapSystem, config: dict, block: dict, seed: int):
     rows = []
     points = []
     for i, word in enumerate(block["words"]):
@@ -330,29 +322,23 @@ def _run_coding(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: i
         rows.append([i, "".join(str(a) for a in word), *[float(v) for v in point], bound])
         points.append({"word": list(word), "point": [float(v) for v in point], "bound": bound})
     header = ["word_id", "word"] + [f"x{s}" for s in range(1, sys_.dim + 1)] + ["bound"]
-    files = []
-    if rows:
-        _write_csv(os.path.join(outdir, "coding.csv"), header, rows)
-        files.append("coding.csv")
-
     max_residual = max_allowance = 0.0
     violations = 0
     n_samples = block["invariance_samples"]
     if n_samples > 0:
         words = sample_words(sys_.shift, n_samples, block["depth"] + 1, inverse=True, seed=seed)
         max_residual, max_allowance, violations = coding_invariance(sys_, words)
-    ok = violations == 0
     results = {
         "points": points,
         "invariance_samples": n_samples,
         "max_residual": max_residual,
         "max_allowance": max_allowance,
-        "verdict": HOLDS if ok else FAILS,
+        "verdict": HOLDS if violations == 0 else FAILS,
     }
-    return results, ok, files
+    return results, {"coding.csv": (header, rows)} if rows else {}
 
 
-def _run_ergodic(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: int, exact: bool):
+def _run_ergodic(sys_: MapSystem, config: dict, block: dict, seed: int):
     x = block["x"]
     if x is None:
         x = list(sys_.ambient.center())
@@ -374,7 +360,7 @@ def _run_ergodic(sys_: MapSystem, config: dict, block: dict, outdir: str, seed: 
         "x": [float(v) for v in x],
         "split": _split_status(sys_, config),
     }
-    return results, True, []
+    return results, {}
 
 
 # Subcommand -> (experiment block, runner).  The parser offers these plus
@@ -436,8 +422,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except Exception:
-        import traceback
-
         traceback.print_exc(file=_sys.stderr)
         print("internal error: the run crashed (traceback above)", file=_sys.stderr)
         return 3
@@ -452,18 +436,25 @@ def _run(args: argparse.Namespace) -> int:
     sys_ = build_system(config)
     seed = config["seed"] if args.seed is None else args.seed
     outdir = args.out if args.out is not None else config["out"]
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
 
     names = _all_subcommands(config["experiments"]) if args.subcommand == "all" else [args.subcommand]
     results = {}
     produced = []
-    ok = True
     for name in names:
         block_name, runner = REGISTRY[name]
-        block = config["experiments"].get(block_name) or resolve_block(block_name, {})
-        results[name], block_ok, files = runner(sys_, config, block, outdir, seed, args.exact)
-        produced.extend(files)
-        ok = ok and block_ok
+        block = experiment_block(config["experiments"], block_name)
+        if args.exact and block_name == "oracle":
+            block = {**block, "exact": True}
+        results[name], tables = runner(sys_, config, block, seed)
+        for filename in tables:
+            _write_csv(os.path.join(outdir, filename), *tables[filename])
+        produced.extend(tables)
+        del tables  # free the rows before the next runner starts
+    ok = all(result.get("verdict", HOLDS) == HOLDS for result in results.values())
     if args.subcommand != "all":
         results = results[args.subcommand]
 

@@ -298,6 +298,12 @@ def resolve_block(name: str, obj: dict) -> dict:
     return out
 
 
+def experiment_block(experiments: dict, name: str) -> dict:
+    """The resolved block `name` of a config's experiments; a block the
+    config leaves out takes its defaults."""
+    return experiments.get(name) or resolve_block(name, {})
+
+
 def validate_config(raw) -> dict:
     """Check a parsed JSON document against the schema; returns the resolved
     config with defaults filled in."""
@@ -362,12 +368,9 @@ def _check_blocks_fit(experiments: dict, system: MapSystem) -> None:
     """Reject the block values that the system cannot take: coordinates above
     its dimension, an ergodic start point of another dimension or outside the
     ambient box, and fewer operator particles than states."""
-    def block(name: str) -> dict:
-        return experiments.get(name) or resolve_block(name, {})
-
     dim = system.dim
-    ergodic = block("ergodic")
-    coordinates = [("experiments.oracle.s", block("oracle")["s"])]
+    ergodic = experiment_block(experiments, "ergodic")
+    coordinates = [("experiments.oracle.s", experiment_block(experiments, "oracle")["s"])]
     coordinates += [(f"experiments.ergodic.phi[{i}]", s) for i, s in enumerate(ergodic["phi"][1:], start=1)]
     for path, s in coordinates:
         if s > dim:
@@ -377,5 +380,5 @@ def _check_blocks_fit(experiments: dict, system: MapSystem) -> None:
         raise ConfigError(f"experiments.ergodic.x must have {dim} entries")
     if x is not None and not system.ambient.contains(x):
         raise ConfigError("experiments.ergodic.x must lie in the ambient box")
-    if block("operator")["particles"] < system.k:
+    if experiment_block(experiments, "operator")["particles"] < system.k:
         raise ConfigError(f"experiments.operator.particles must be >= {system.k}, the number of states")

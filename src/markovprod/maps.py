@@ -68,7 +68,8 @@ class IntervalBox:
         return tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
 
     def contains(self, x) -> bool:
-        return all(a <= v <= b for a, v, b in zip(self.lo, x, self.hi))
+        """Whether the point x has this box's dimension and lies in it."""
+        return len(x) == self.dim and all(a <= v <= b for a, v, b in zip(self.lo, x, self.hi))
 
     def contains_box(self, other: "IntervalBox") -> bool:
         return all(a <= c for a, c in zip(self.lo, other.lo)) and all(

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +398,18 @@ def test_value_that_does_not_fit_the_system_is_config_error(tmp_path, capsys, bl
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "path-beneath-a-file"])
+def test_unusable_output_directory_is_config_error(tmp_path, capsys, below):
+    path = write_config(tmp_path, cantor_config(stationary={}))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / below) if below else str(blocker)
+    assert main(["stationary", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])
@@ -437,6 +450,51 @@ def test_split_search_miss_exits_one(tmp_path):
     assert summary["seed"] == 0  # default filled in
 
 
+def test_runner_verdict_decides_the_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli.REGISTRY, "stationary", ("stationary", lambda *args: ({"verdict": "fails"}, {})))
+    path = write_config(tmp_path, cantor_config(stationary={}))
+    assert main(["stationary", "--config", path]) == 1
+    assert "stationary: fails" in capsys.readouterr().out
+    assert read_summary(tmp_path, "stationary")["verdict"] == "fails"
+
+
+# ---------------------------------------------------------------------------
+# the runner contract
+
+
+def test_run_writes_the_tables_a_runner_returns(tmp_path, monkeypatch, capsys):
+    def runner(*args):
+        return {}, {"x.csv": (["a"], [[1.5]])}
+
+    monkeypatch.setitem(cli.REGISTRY, "stationary", ("stationary", runner))
+    path = write_config(tmp_path, cantor_config(stationary={}))
+    assert main(["stationary", "--config", path]) == 0
+    assert (tmp_path / "reports" / "x.csv").read_text() == "a\n1.5\n"
+    assert f"wrote {tmp_path / 'reports' / 'x.csv'}" in capsys.readouterr().out
+    assert read_summary(tmp_path, "stationary")["verdict"] == "holds"
+
+
+def test_tables_are_freed_before_the_next_runner_starts(tmp_path, monkeypatch):
+    class Rows(list):
+        pass
+
+    refs = []
+
+    def first(*args):
+        rows = Rows([[1]])
+        refs.append(weakref.ref(rows))
+        return {}, {"a.csv": (["a"], rows)}
+
+    def second(*args):
+        assert refs[0]() is None, "the first runner's rows are still alive"
+        return {}, {}
+
+    monkeypatch.setitem(cli.REGISTRY, "stationary", ("stationary", first))
+    monkeypatch.setitem(cli.REGISTRY, "weak-hyp", ("weak_hyp", second))
+    path = write_config(tmp_path, cantor_config(stationary={}, weak_hyp={}))
+    assert main(["all", "--config", path]) == 0
+
+
 # ---------------------------------------------------------------------------
 # crashes (exit code 3) and numerical failures (exit code 2)
 
@@ -452,6 +510,16 @@ def test_unexpected_exception_exits_three_not_one(tmp_path, monkeypatch, capsys)
     assert "Traceback" in err and "RuntimeError: simulated defect" in err
     assert "internal error" in err
     assert not (tmp_path / "reports" / "summary-stationary.json").exists()
+
+
+def test_crashed_runner_leaves_no_csv(tmp_path, monkeypatch):
+    def crash(*args):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(cli, "coding_invariance", crash)
+    path = write_config(tmp_path, cantor_config(coding={"words": [[1, 2]], "invariance_samples": 3}))
+    assert main(["coding", "--config", path]) == 3
+    assert not (tmp_path / "reports" / "coding.csv").exists()
 
 
 def test_singular_stationary_solve_is_a_domain_error(tmp_path, monkeypatch, capsys):

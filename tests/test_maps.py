@@ -179,6 +179,14 @@ def test_forward_orbit_outside_domain():
         forward_orbit(cantor_iid(), (1,), (2.0,))
 
 
+@pytest.mark.parametrize("point", [(), (0.3, 0.4)], ids=["empty", "two-coordinates"])
+def test_point_of_another_dimension_is_outside_the_box(point):
+    sys = cantor_markov()
+    assert not sys.ambient.contains(point)
+    with pytest.raises(OutsideDomain):
+        forward_orbit(sys, (), point)
+
+
 def test_reverse_composition_examples():
     sys = cantor_iid()
     (y,) = reverse_composition(sys, (1, 2), (0.0,))

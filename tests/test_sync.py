@@ -323,3 +323,8 @@ def test_ergodic_requires_primitive_and_enough_steps():
         ergodic_average(cantor_iid(), (0.5,), ("coordinate", 1), 50)
     with pytest.raises(ValueError):
         ergodic_average(cantor_iid(), (1.5,), ("coordinate", 1), 1000)
+
+
+def test_ergodic_start_of_another_dimension_is_outside_the_box():
+    with pytest.raises(ValueError, match="outside the ambient box"):
+        ergodic_average(cantor_markov(), (0.3, 0.4), ("coordinate", 1), 200)
