@@ -399,15 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="override the config output directory")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for interface stability; execution is single-threaded",
-        )
-        sp.add_argument(
-            "--exact", action="store_true", help="force exact rational mode in the oracle"
-        )
     return parser
 
 
@@ -428,8 +419,6 @@ def main(argv=None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     config = load_config(args.config)
@@ -447,8 +436,6 @@ def _run(args: argparse.Namespace) -> int:
     for name in names:
         block_name, runner = REGISTRY[name]
         block = experiment_block(config["experiments"], block_name)
-        if args.exact and block_name == "oracle":
-            block = {**block, "exact": True}
         results[name], tables = runner(sys_, config, block, seed)
         for filename in tables:
             _write_csv(os.path.join(outdir, filename), *tables[filename])
@@ -462,8 +449,6 @@ def _run(args: argparse.Namespace) -> int:
         "version": __version__,
         "subcommand": args.subcommand,
         "seed": seed,
-        "threads": args.threads,
-        "exact": args.exact,
         "config": config,
         "results": results,
         "verdict": HOLDS if ok else FAILS,

@@ -8,9 +8,11 @@ in a real subprocess, the way the installed console script would.
 
 from __future__ import annotations
 
+import argparse
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -114,8 +116,6 @@ def test_summary_embeds_resolved_defaults(tmp_path):
         "cloud_size": 256,
     }
     assert summary["config"] == load_config(path)
-    assert summary["threads"] == 1
-    assert summary["exact"] is False
     assert summary["results"]["split"]["certified"] is True
 
 
@@ -251,14 +251,14 @@ def test_oracle_output_independent_of_seed(tmp_path):
     assert summary_a["results"] == summary_b["results"]
 
 
-def test_exact_flag_forces_rational_mode(tmp_path):
+def test_oracle_exact_key_selects_rational_mode(tmp_path):
     cfg = cantor_config(
-        oracle={"xi": [1, 1], "eta": [1, 2], "ell_max": 2, "grid_points": 3, "exact": False}
+        oracle={"xi": [1, 1], "eta": [1, 2], "ell_max": 2, "grid_points": 3, "exact": True}
     )
     path = write_config(tmp_path, cfg)
-    assert main(["oracle", "--config", path, "--exact"]) == 0
+    assert main(["oracle", "--config", path]) == 0
     summary = read_summary(tmp_path, "oracle")
-    assert summary["exact"] is True
+    assert summary["config"]["experiments"]["oracle"]["exact"] is True
     assert summary["results"]["exact"] is True
     assert summary["results"]["rows_failing"] == 0
 
@@ -331,14 +331,6 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     path.write_text("{")
     assert main(["stationary", "--config", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
-
-
-def test_threads_flag_validated_then_accepted(tmp_path, capsys):
-    path = write_config(tmp_path, cantor_config(stationary={}))
-    assert main(["stationary", "--config", path, "--threads", "0"]) == 2
-    assert "--threads must be >= 1" in capsys.readouterr().err
-    assert main(["stationary", "--config", path, "--threads", "4"]) == 0
-    assert read_summary(tmp_path, "stationary")["threads"] == 4
 
 
 def test_negative_seed_rejected(tmp_path, capsys):
@@ -414,6 +406,15 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--threads", "4"], ["--exact"]], ids=["threads", "exact"])
+def test_removed_flags_are_rejected_by_the_parser(tmp_path, flag):
+    path = write_config(tmp_path, cantor_config(oracle={"xi": [1, 1], "eta": [1, 2]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", path, *flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "reports").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +494,25 @@ def test_tables_are_freed_before_the_next_runner_starts(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.REGISTRY, "weak-hyp", ("weak_hyp", second))
     path = write_config(tmp_path, cantor_config(stationary={}, weak_hyp={}))
     assert main(["all", "--config", path]) == 0
+
+
+def test_summary_top_level_keys(tmp_path):
+    path = write_config(tmp_path, cantor_config(stationary={}))
+    assert main(["stationary", "--config", path]) == 0
+    assert sorted(read_summary(tmp_path, "stationary")) == [
+        "config", "results", "seed", "subcommand", "verdict", "version"
+    ]
+
+
+def test_readme_common_flags_are_the_parser_options():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = " ".join(readme.split("Common flags:", 1)[1].split(".", 1)[0].split())
+    documented = set(re.findall(r"`(--[a-z-]+)`", sentence))
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == {*cli.REGISTRY, "all"}
+    for name, parser in subparsers.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        assert options - {"--help"} == documented, name
 
 
 # ---------------------------------------------------------------------------
