@@ -14,9 +14,9 @@ then rename).
 
 Exit codes: 0 success, 1 verification failure (a split certificate is
 missing or falsified, an oracle row fails, or a coding invariance residual
-exceeds its bound), 2 configuration or other domain error, 3 unexpected
-internal error (the traceback goes to stderr), so a crash never reads as a
-failed verification.
+exceeds its bound), 2 configuration or other domain error (a report that
+cannot be written included), 3 unexpected internal error (the traceback
+goes to stderr), so a crash never reads as a failed verification.
 """
 
 from __future__ import annotations
@@ -61,15 +61,17 @@ FAILS = "fails"
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:

@@ -1,8 +1,9 @@
 """Interval boxes and finite systems of box self-maps.
 
 Provides:
-- IntervalBox: compact axis-aligned boxes with exact per-coordinate
-  interval images under the supported map kinds
+- IntervalBox: compact axis-aligned boxes with per-coordinate interval
+  images under the supported map kinds: exact for Fraction data; for
+  floats the endpoints are rounded to nearest, not outward
 - AffineMap x -> A x + b and MoebiusMap x -> (a x + b) / (c x + d) (1-D)
 - point evaluation, and `orbit`, the one loop applying a word's maps in
   turn: forward orbits f_{w_n} o ... o f_{w_1} pass the word, coding-order
@@ -12,9 +13,11 @@ Provides:
   when t_j = t_1 and the flipped pattern otherwise, with zero partial
   dependence acting as a wildcard
 
-Scalar code paths use plain Python arithmetic so the same functions run
-on floats and on fractions.Fraction coefficients; the batch helpers
-require float data.
+Every image comes from one of two kernels, `_point_image` and `_box_image`,
+in plain Python arithmetic.  A coordinate value is a float, a
+fractions.Fraction, or (batch helpers) a 1-D float array holding that
+coordinate for many rows; each row then gets the bits of the scalar
+evaluation, since every step is the same IEEE operation in the same order.
 """
 
 from __future__ import annotations
@@ -125,6 +128,52 @@ class MoebiusMap:
 Map = AffineMap | MoebiusMap
 
 
+def _ordered(t0, t1):
+    """(t0, t1) in increasing order, swapped only where t0 > t1: a tie keeps t0."""
+    if isinstance(t0, np.ndarray):
+        return np.where(t0 > t1, t1, t0), np.where(t0 > t1, t0, t1)
+    return (t1, t0) if t0 > t1 else (t0, t1)
+
+
+def _anywhere(mask) -> bool:
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def _point_image(f: Map, x) -> tuple:
+    """Per-coordinate image of the point x."""
+    if isinstance(f, AffineMap):
+        return tuple(b + sum(a * v for a, v in zip(row, x)) for row, b in zip(f.matrix, f.offset))
+    den = f.c * x[0] + f.d
+    if _anywhere(den == 0):
+        where = "a sample point" if isinstance(den, np.ndarray) else f"x = {x[0]!r}"
+        raise DenominatorVanishes(f"denominator vanishes at {where}")
+    return ((f.a * x[0] + f.b) / den,)
+
+
+def _box_image(f: Map, lo, hi) -> tuple[tuple, tuple]:
+    """Per-coordinate corners of the image of [lo, hi].  Affine: b_s + sum_l
+    [min, max](A_sl * [lo_l, hi_l]), added from the left.  Moebius: monotone
+    between endpoints once the denominator has one sign on the interval."""
+    if isinstance(f, AffineMap):
+        new_lo, new_hi = [], []
+        for row, b in zip(f.matrix, f.offset):
+            acc_lo = acc_hi = b
+            for a, u, v in zip(row, lo, hi):
+                t0, t1 = _ordered(a * u, a * v)
+                acc_lo += t0
+                acc_hi += t1
+            new_lo.append(acc_lo)
+            new_hi.append(acc_hi)
+        return tuple(new_lo), tuple(new_hi)
+    den0 = f.c * lo[0] + f.d
+    den1 = f.c * hi[0] + f.d
+    if _anywhere((den0 == 0) | (den1 == 0) | ((den0 > 0) != (den1 > 0))):
+        where = "inside a sample interval" if isinstance(den0, np.ndarray) else f"on [{lo[0]!r}, {hi[0]!r}]"
+        raise DenominatorVanishes(f"denominator has a zero {where}")
+    y0, y1 = _ordered((f.a * lo[0] + f.b) / den0, (f.a * hi[0] + f.b) / den1)
+    return (y0,), (y1,)
+
+
 def evaluate_map(f: Map, x, ambient: IntervalBox | None = None) -> tuple:
     """Image of a single point, as a tuple of scalars.
 
@@ -135,49 +184,15 @@ def evaluate_map(f: Map, x, ambient: IntervalBox | None = None) -> tuple:
         raise ValueError(f"point of dimension {len(x)} fed to a {f.dim}-dimensional map")
     if ambient is not None and not ambient.contains(x):
         raise OutsideDomain(f"point {x} outside the ambient box")
-    if isinstance(f, AffineMap):
-        return tuple(
-            b + sum(a * v for a, v in zip(row, x)) for row, b in zip(f.matrix, f.offset)
-        )
-    den = f.c * x[0] + f.d
-    if den == 0:
-        raise DenominatorVanishes(f"denominator vanishes at x = {x[0]!r}")
-    return ((f.a * x[0] + f.b) / den,)
+    return _point_image(f, x)
 
 
 def box_image(f: Map, box: IntervalBox) -> IntervalBox:
-    """Exact interval image of a box, coordinate by coordinate.
-
-    Affine: b_s + sum_l [min, max](A_sl * [lo_l, hi_l]).  Moebius: monotone
-    between endpoints once the denominator is checked to have one sign on
-    the interval.
-    """
+    """Interval image of a box, coordinate by coordinate: exact for Fraction
+    data; for floats the endpoints are rounded to nearest, not outward."""
     if box.dim != f.dim:
         raise ValueError("box dimension does not match the map")
-    if isinstance(f, AffineMap):
-        lo, hi = [], []
-        for row, b in zip(f.matrix, f.offset):
-            acc_lo, acc_hi = b, b
-            for a, u, v in zip(row, box.lo, box.hi):
-                t0, t1 = a * u, a * v
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                acc_lo += t0
-                acc_hi += t1
-            lo.append(acc_lo)
-            hi.append(acc_hi)
-        return IntervalBox(tuple(lo), tuple(hi))
-    den0 = f.c * box.lo[0] + f.d
-    den1 = f.c * box.hi[0] + f.d
-    if den0 == 0 or den1 == 0 or (den0 > 0) != (den1 > 0):
-        raise DenominatorVanishes(
-            f"denominator has a zero on [{box.lo[0]!r}, {box.hi[0]!r}]"
-        )
-    y0 = (f.a * box.lo[0] + f.b) / den0
-    y1 = (f.a * box.hi[0] + f.b) / den1
-    if y0 > y1:
-        y0, y1 = y1, y0
-    return IntervalBox((y0,), (y1,))
+    return IntervalBox(*_box_image(f, box.lo, box.hi))
 
 
 def injective(f: Map) -> bool:
@@ -203,37 +218,20 @@ def sign_table(f: Map) -> tuple[tuple[str, ...], ...]:
 
 
 def map_points(f: Map, pts: np.ndarray) -> np.ndarray:
-    """Vectorised image of an (n, m) float array of points."""
+    """Images of an (n, m) float array of points, per row as `evaluate_map`."""
     pts = np.asarray(pts, dtype=float)
-    if isinstance(f, AffineMap):
-        A = np.array(f.matrix, dtype=float)
-        b = np.array(f.offset, dtype=float)
-        return pts @ A.T + b
-    den = f.c * pts + f.d
-    if np.any(den == 0.0):
-        raise DenominatorVanishes("denominator vanishes at a sample point")
-    return (f.a * pts + f.b) / den
+    if pts.ndim != 2 or pts.shape[1] != f.dim:
+        raise ValueError(f"points of shape {pts.shape} fed to a {f.dim}-dimensional map")
+    return np.stack(_point_image(f, pts.T), axis=1)
 
 
 def map_boxes(f: Map, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised box images for (n, m) arrays of lower/upper corners."""
+    """Box images for (n, m) arrays of lower/upper corners, per row as `box_image`."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if isinstance(f, AffineMap):
-        A = np.array(f.matrix, dtype=float)
-        b = np.array(f.offset, dtype=float)
-        t0 = lo[:, None, :] * A[None, :, :]
-        t1 = hi[:, None, :] * A[None, :, :]
-        new_lo = np.minimum(t0, t1).sum(axis=2) + b
-        new_hi = np.maximum(t0, t1).sum(axis=2) + b
-        return new_lo, new_hi
-    den0 = f.c * lo + f.d
-    den1 = f.c * hi + f.d
-    if np.any(den0 == 0.0) or np.any(den1 == 0.0) or np.any((den0 > 0) != (den1 > 0)):
-        raise DenominatorVanishes("denominator has a zero inside a sample interval")
-    y0 = (f.a * lo + f.b) / den0
-    y1 = (f.a * hi + f.b) / den1
-    return np.minimum(y0, y1), np.maximum(y0, y1)
+    if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != f.dim:
+        raise ValueError("box dimension does not match the map")
+    return tuple(np.stack(corner, axis=1) for corner in _box_image(f, lo.T, hi.T))
 
 
 @dataclass(frozen=True)
@@ -382,12 +380,11 @@ def _masked_reverse(sys: MapSystem, words, step, arrays: list) -> list:
 
 
 def batch_reverse_points(sys: MapSystem, words: np.ndarray, anchor) -> np.ndarray:
-    """Reverse compositions of many words at once, from a common anchor.
-
-    words is an (n, depth) integer array of symbols; the result is (n, m).
-    """
+    """Reverse compositions of many words at once.  words is an (n, depth)
+    integer array of symbols, anchor one point of shape (m,) or one point
+    per word, shape (n, m); the result is (n, m)."""
     n = np.asarray(words).shape[0]
-    pts = np.tile(np.asarray(anchor, dtype=float), (n, 1))
+    pts = np.array(np.broadcast_to(np.asarray(anchor, dtype=float), (n, sys.dim)))
     return _masked_reverse(sys, words, lambda f, p: (map_points(f, p),), [pts])[0]
 
 
@@ -396,5 +393,4 @@ def batch_reverse_boxes(sys: MapSystem, words: np.ndarray) -> tuple[np.ndarray, 
     n = np.asarray(words).shape[0]
     lo = np.tile(np.asarray(sys.ambient.lo, dtype=float), (n, 1))
     hi = np.tile(np.asarray(sys.ambient.hi, dtype=float), (n, 1))
-    lo, hi = _masked_reverse(sys, words, map_boxes, [lo, hi])
-    return lo, hi
+    return tuple(_masked_reverse(sys, words, map_boxes, [lo, hi]))

@@ -18,8 +18,8 @@ computes:
 Every routine runs either on floats or, with exact=True, on Fractions built
 from the same float inputs (Fraction(v) is the exact value of the float v),
 flowing through identical code paths so the two modes differ only in
-rounding.  One-dimensional enclosures are exact interval images; for m >= 2
-the chained enclosure is an upper bound and rows are flagged accordingly.
+rounding.  One-dimensional enclosures are exact images in rational mode; for
+m >= 2 the chained enclosure is an upper bound and rows are flagged accordingly.
 """
 
 from __future__ import annotations

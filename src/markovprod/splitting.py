@@ -10,9 +10,9 @@ under every further composition of system maps.  Provides:
   for all iterates), plus the one-dimensional shortcut where injectivity of
   all maps makes plain disjointness of the two intervals sufficient
 - verify_split_horizon: finite-horizon falsification/certification sweep over
-  symbol prefixes, comparing rigorous chained enclosures (certification) and
-  sampled point clouds (a cloud overlap definitively falsifies, because the
-  true image projections are intervals containing the cloud extremes)
+  symbol prefixes, comparing chained enclosures (certification, with float
+  endpoints rounded to nearest) and sampled point clouds (a cloud overlap
+  falsifies, since the true image projections contain the cloud extremes)
 - search_witness: smallest-first deterministic enumeration of word pairs
 - normalize_witness: turn a witness into an equal-length pair of words that
   is admissible for the inverse measure and starts at a common symbol, the

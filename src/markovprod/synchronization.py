@@ -1,12 +1,12 @@
 """Forward-image contraction, fibre collapse, coding points, and Birkhoff
 averages.
 
-Upper curves are chained box enclosures (rigorous, nonincreasing along
-forward words); lower curves track a deterministic point cloud through the
-same maps, so the true image diameter is bracketed.  Rates are fitted on
-the upper curve only.  Fibre (reverse-order) enclosures certify weak
-hyperbolicity sample-wise, and the coding point of a finite word comes with
-the enclosure diameter as its error bound.
+Upper curves are chained box enclosures (nonincreasing along forward
+words; float endpoints are rounded to nearest, not outward); lower curves
+track a deterministic point cloud through the same maps, bracketing the
+image diameter up to that rounding.  Rates are fitted on the upper curve
+only.  Fibre (reverse-order) enclosures test weak hyperbolicity per
+sample; a finite word's coding point has the enclosure diameter as bound.
 
 The Birkhoff orbit is sequential and runs in fixed-length chunks: numpy
 draws each chunk's uniforms and tabulates its next states, and one Python
@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, NoRowPositiveState, NotPrimitive
+from .errors import DegenerateCurve, InadmissibleWord, NoRowPositiveState, NotPrimitive
 from .maps import (
     MapSystem,
     MoebiusMap,
     batch_reverse_boxes,
+    batch_reverse_points,
     evaluate_map,
     forward_box_chain,
     map_points,
@@ -47,9 +48,9 @@ class DecayCurve:
     """Bracketed image diameters along one word.
 
     upper[n] is the l1 diameter of the chained enclosure of the first n
-    maps (rigorous upper bound, nonincreasing); lower[n] is the l1 diameter
-    of a mapped point cloud (attained lower bound, may fluctuate within
-    enclosure slack)."""
+    maps (upper bound up to float rounding, nonincreasing); lower[n] is the
+    l1 diameter of a mapped point cloud (attained lower bound, may
+    fluctuate within enclosure slack)."""
 
     word: Word
     n: tuple[int, ...]
@@ -217,13 +218,13 @@ def weak_hyperbolicity_experiment(
 
 
 def coding_point(sys: MapSystem, word: Word) -> tuple[tuple, float]:
-    """Finite-depth coding point with a rigorous radius.
+    """Finite-depth coding point with an error radius.
 
     Returns the reverse-order composition applied to the box center and the
     l1 diameter of the chained fibre enclosure: the limit point of any
     extension of the word lies inside that enclosure, and so does the
-    returned point (up to evaluation rounding), so the diameter bounds
-    their distance."""
+    returned point (both up to float rounding, which the enclosure does not
+    round outward), so the diameter bounds their distance."""
     word = check_word(word, sys.k, allow_empty=False)
     anchor = sys.ambient.center()
     point = reverse_composition(sys, word, anchor)
@@ -236,21 +237,23 @@ def coding_invariance(sys: MapSystem, words) -> tuple[float, float, int]:
     """Check pi(w) = f_{w_1}(pi(w_2 w_3 ...)) on each row of `words`, where pi
     is `coding_point`, allowing the sum of the two points' bounds.  Returns
     the largest l1 residual, the largest allowance, and the number of words
-    whose residual exceeds their allowance."""
-    max_residual = max_allowance = 0.0
-    violations = 0
-    for row in words:
-        word = tuple(int(a) for a in row)
-        full, bound_full = coding_point(sys, word)
-        shifted, bound_shifted = coding_point(sys, word[1:])
-        image = evaluate_map(sys.map_for(word[0]), shifted)
-        residual = float(sum(abs(a - b) for a, b in zip(image, full)))
-        allowance = bound_full + bound_shifted
-        max_residual = max(max_residual, residual)
-        max_allowance = max(max_allowance, allowance)
-        if residual > allowance:
-            violations += 1
-    return max_residual, max_allowance, violations
+    whose residual exceeds their allowance.  The rows run through the batch
+    compositions and each l1 sum adds coordinates from the left, so every
+    row gets the floats of its `coding_point` pair."""
+    words = np.asarray(words)
+    if words.ndim != 2 or words.shape[1] < 2:
+        raise InadmissibleWord("coding invariance needs words of at least two symbols")
+    check_word(np.unique(words), sys.k)
+    anchor = sys.ambient.center()
+    full = batch_reverse_points(sys, words, anchor)
+    image = batch_reverse_points(sys, words[:, :1], batch_reverse_points(sys, words[:, 1:], anchor))
+    residual = sum(np.abs(image[:, s] - full[:, s]) for s in range(sys.dim))
+    allowance = 0
+    for rows in (words, words[:, 1:]):
+        lo, hi = batch_reverse_boxes(sys, rows)
+        allowance = allowance + sum(hi[:, s] - lo[:, s] for s in range(sys.dim))
+    max_residual, max_allowance = (float(v.max(initial=0.0)) for v in (residual, allowance))
+    return max_residual, max_allowance, int((residual > allowance).sum())
 
 
 @dataclass(frozen=True)
@@ -332,8 +335,7 @@ def _orbit_chunk(sys: MapSystem, state: int, table: list[list[int]], pt: tuple):
     push = pts.append
     for t in steps:
         s = table[s][t]
-        f = maps[s]
-        pt = tuple(o + sum(a * v for a, v in zip(r, pt)) for r, o in zip(f.matrix, f.offset))
+        pt = evaluate_map(maps[s], pt)
         push(pt)
     return tuple([p[i] for p in pts] for i in range(sys.dim)), s
 

@@ -402,6 +402,19 @@ def test_unusable_output_directory_is_config_error(tmp_path, capsys, below):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("blocked", ["summary-stationary.json", "stationary.csv"])
+def test_report_that_cannot_be_written_is_config_error(tmp_path, capsys, blocked):
+    # A directory where a report file should go makes its rename fail.
+    path = write_config(tmp_path, cantor_config(stationary={}))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["stationary", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / blocked}: ")
+    assert "Traceback" not in err
+    assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])

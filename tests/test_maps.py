@@ -28,6 +28,7 @@ from markovprod.maps import (
     batch_reverse_boxes,
     batch_reverse_points,
     injective,
+    map_boxes,
     map_points,
     sign_table,
 )
@@ -368,6 +369,28 @@ def test_map_points_matches_evaluate():
         for x, y in zip(pts, out):
             expected = evaluate_map(f, tuple(x))
             assert max(abs(a - b) for a, b in zip(expected, y)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "f", [MoebiusMap(1, 0, -1, 4), AffineMap(((0.5,),), (0.25,))], ids=["moebius", "affine"]
+)
+def test_batch_kernels_reject_rows_of_another_dimension(f):
+    rows = np.array([[0.2, 0.5]])
+    for pts in (rows, np.array([0.2, 0.5])):
+        with pytest.raises(ValueError, match="fed to a 1-dimensional map"):
+            map_points(f, pts)
+    for lo, hi in ((rows, rows), (rows[:, :1], rows)):
+        with pytest.raises(ValueError, match="box dimension does not match the map"):
+            map_boxes(f, lo, hi)
+
+
+def test_batch_reverse_points_takes_one_anchor_per_word():
+    sys = moebius_pair()
+    words = np.array([[1, 2, 2], [2, 1, 1], [1, 1, 2]])
+    anchors = np.array([[0.1], [0.5], [0.9]])
+    rows = batch_reverse_points(sys, words, anchors)
+    for word, anchor, row in zip(words, anchors, rows):
+        assert row.tolist() == batch_reverse_points(sys, word[None, :], anchor).tolist()[0]
 
 
 def test_ambient_cloud_contains_corners_and_stays_inside():

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from conftest import UNIT, cantor_markov, diagonal_2d, moebius_pair, single_contraction
 from markovprod import (
     AffineMap,
+    DenominatorVanishes,
+    InadmissibleWord,
     IntervalBox,
     MapSystem,
     MoebiusMap,
@@ -59,7 +61,14 @@ from markovprod.markov_operator import (
     _allocate_slots,
 )
 from markovprod.splitting import ambient_cloud, verify_split_horizon
-from markovprod.synchronization import BATCH_COUNT, DecayCurve, ErgodicResult, image_diameter_curve
+from markovprod.synchronization import (
+    BATCH_COUNT,
+    DecayCurve,
+    ErgodicResult,
+    coding_invariance,
+    coding_point,
+    image_diameter_curve,
+)
 from markovprod.synchronization import test_function as observable
 
 # --- references -------------------------------------------------------------
@@ -743,3 +752,207 @@ def test_batch_loop_skips_symbols_absent_from_a_column():
     words = np.array([[1, 2, 3], [1, 1, 1], [1, 2, 2], [1, 1, 3]])
     check_batches(sys, words)
     check_batches(sys, words[:1])
+
+
+# --- image kernels ------------------------------------------------------------
+# The four kernels as they were written out before `_point_image` and
+# `_box_image` replaced them: scalar loops for points and boxes, a matrix
+# product and an (n, m, m) broadcast for the batch images.
+
+
+def ref_evaluate_map(f, x):
+    x = tuple(x)
+    if isinstance(f, AffineMap):
+        return tuple(
+            b + sum(a * v for a, v in zip(row, x)) for row, b in zip(f.matrix, f.offset)
+        )
+    den = f.c * x[0] + f.d
+    if den == 0:
+        raise DenominatorVanishes(f"denominator vanishes at x = {x[0]!r}")
+    return ((f.a * x[0] + f.b) / den,)
+
+
+def ref_box_image(f, box):
+    if isinstance(f, AffineMap):
+        lo, hi = [], []
+        for row, b in zip(f.matrix, f.offset):
+            acc_lo, acc_hi = b, b
+            for a, u, v in zip(row, box.lo, box.hi):
+                t0, t1 = a * u, a * v
+                if t0 > t1:
+                    t0, t1 = t1, t0
+                acc_lo += t0
+                acc_hi += t1
+            lo.append(acc_lo)
+            hi.append(acc_hi)
+        return IntervalBox(tuple(lo), tuple(hi))
+    den0 = f.c * box.lo[0] + f.d
+    den1 = f.c * box.hi[0] + f.d
+    if den0 == 0 or den1 == 0 or (den0 > 0) != (den1 > 0):
+        raise DenominatorVanishes(f"denominator has a zero on [{box.lo[0]!r}, {box.hi[0]!r}]")
+    y0 = (f.a * box.lo[0] + f.b) / den0
+    y1 = (f.a * box.hi[0] + f.b) / den1
+    if y0 > y1:
+        y0, y1 = y1, y0
+    return IntervalBox((y0,), (y1,))
+
+
+def ref_map_points(f, pts):
+    pts = np.asarray(pts, dtype=float)
+    if isinstance(f, AffineMap):
+        A = np.array(f.matrix, dtype=float)
+        b = np.array(f.offset, dtype=float)
+        return pts @ A.T + b
+    den = f.c * pts + f.d
+    if np.any(den == 0.0):
+        raise DenominatorVanishes("denominator vanishes at a sample point")
+    return (f.a * pts + f.b) / den
+
+
+def ref_map_boxes(f, lo, hi):
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if isinstance(f, AffineMap):
+        A = np.array(f.matrix, dtype=float)
+        b = np.array(f.offset, dtype=float)
+        t0 = lo[:, None, :] * A[None, :, :]
+        t1 = hi[:, None, :] * A[None, :, :]
+        return np.minimum(t0, t1).sum(axis=2) + b, np.maximum(t0, t1).sum(axis=2) + b
+    den0 = f.c * lo + f.d
+    den1 = f.c * hi + f.d
+    if np.any(den0 == 0.0) or np.any(den1 == 0.0) or np.any((den0 > 0) != (den1 > 0)):
+        raise DenominatorVanishes("denominator has a zero inside a sample interval")
+    y0 = (f.a * lo + f.b) / den0
+    y1 = (f.a * hi + f.b) / den1
+    return np.minimum(y0, y1), np.maximum(y0, y1)
+
+
+def points_in(box):
+    """Points of `box`, drawn coordinate by coordinate (signed zeros included
+    where the box holds 0)."""
+    return st.tuples(*(st.floats(float(a), float(b)) for a, b in zip(box.lo, box.hi)))
+
+
+def boxes_in(box):
+    return st.tuples(points_in(box), points_in(box)).map(
+        lambda pq: IntervalBox(tuple(map(min, *pq)), tuple(map(max, *pq)))
+    )
+
+
+def exact_box(box):
+    return IntervalBox(tuple(map(Fraction, box.lo)), tuple(map(Fraction, box.hi)))
+
+
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scalar_kernels_match_the_previous_ones(factory, data):
+    sys = factory()
+    exact = fraction_system(factory)
+    x = data.draw(points_in(sys.ambient))
+    box = data.draw(boxes_in(sys.ambient))
+    for f, g in zip(sys.maps, exact.maps):
+        assert_bit_equal(evaluate_map(f, x), ref_evaluate_map(f, x))
+        assert_bit_equal(box_image(f, box), ref_box_image(f, box))
+        xq = tuple(map(Fraction, x))
+        assert_bit_equal(evaluate_map(g, xq), ref_evaluate_map(g, xq))
+        assert_bit_equal(box_image(g, exact_box(box)), ref_box_image(g, exact_box(box)))
+
+
+def rows_in(box, rng, n):
+    """n random rows of `box`, its corners first."""
+    lo = np.asarray(box.lo, dtype=float)
+    hi = np.asarray(box.hi, dtype=float)
+    return np.vstack([np.array(box.corners(), dtype=float), lo + rng.random((n, box.dim)) * (hi - lo)])
+
+
+@pytest.mark.parametrize(
+    "factory", [cantor_markov, moebius_pair, affine_1d, signed_zero_1d, three_state_1d, diagonal_2d]
+)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batch_kernels_match_the_previous_ones_on_1d_and_diagonal_systems(factory, seed):
+    sys = factory()
+    rng = np.random.default_rng(seed)
+    pts = rows_in(sys.ambient, rng, 30)
+    a, b = rows_in(sys.ambient, rng, 30), rows_in(sys.ambient, rng, 30)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    for f in sys.maps:
+        assert_bit_equal(map_points(f, pts).tolist(), ref_map_points(f, pts).tolist())
+        new = [c.tolist() for c in map_boxes(f, lo, hi)]
+        assert_bit_equal(new, [c.tolist() for c in ref_map_boxes(f, lo, hi)])
+
+
+@st.composite
+def mixing_affine_maps(draw):
+    """Affine maps of dimension 2 or 3 whose off-diagonal entries are all
+    negative, so every coordinate mixes lower and upper corners."""
+    m = draw(st.integers(2, 3))
+    entry = st.floats(-2.0, 2.0, allow_subnormal=False)
+    rows = tuple(
+        tuple(draw(entry) if i == j else -draw(st.floats(1e-3, 2.0)) for j in range(m))
+        for i in range(m)
+    )
+    return AffineMap(rows, tuple(draw(entry) for _ in range(m)))
+
+
+moebius_maps = st.builds(
+    MoebiusMap,
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.0, 1.0),
+    st.floats(1.5, 3.0),  # d > |c|: no pole on [-1, 1]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(mixing_affine_maps(), moebius_maps), seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_the_scalar_kernels(f, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(40, f.dim))
+    a, b = rng.uniform(-1.0, 1.0, size=(2, 40, f.dim))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # Signed zeros: products that tie at 0.0 and -0.0.
+    pts[0], lo[0], hi[0] = -0.0, -0.0, 0.0
+    lo[1] = hi[1] = -0.0
+    assert_bit_equal(map_points(f, pts).tolist(), [list(evaluate_map(f, x)) for x in pts.tolist()])
+    scalar = [box_image(f, IntervalBox(tuple(u), tuple(v))) for u, v in zip(lo.tolist(), hi.tolist())]
+    new_lo, new_hi = map_boxes(f, lo, hi)
+    assert_bit_equal(new_lo.tolist(), [list(box.lo) for box in scalar])
+    assert_bit_equal(new_hi.tolist(), [list(box.hi) for box in scalar])
+
+
+# --- coding invariance ----------------------------------------------------------
+
+
+def ref_coding_invariance(sys, words):
+    """The per-row loop that the batch compositions replace."""
+    max_residual = max_allowance = 0.0
+    violations = 0
+    for row in words:
+        word = tuple(int(a) for a in row)
+        full, bound_full = coding_point(sys, word)
+        shifted, bound_shifted = coding_point(sys, word[1:])
+        image = evaluate_map(sys.map_for(word[0]), shifted)
+        residual = float(sum(abs(a - b) for a, b in zip(image, full)))
+        allowance = bound_full + bound_shifted
+        max_residual = max(max_residual, residual)
+        max_allowance = max(max_allowance, allowance)
+        if residual > allowance:
+            violations += 1
+    return max_residual, max_allowance, violations
+
+
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+def test_coding_invariance_matches_the_per_row_loop(factory):
+    sys = factory()
+    words = np.random.default_rng(8).integers(1, sys.k + 1, size=(50, 9))
+    for rows in (words, words[:, :2], words[:1, :5], words[:0]):
+        assert_bit_equal(coding_invariance(sys, rows), ref_coding_invariance(sys, rows))
+
+
+@pytest.mark.parametrize("words", [[[1, 2], [0, 1]], [[1, 2], [2, 3]], [[1], [2]]],
+                         ids=["symbol-0", "symbol-k-plus-1", "single-symbol-rows"])
+def test_coding_invariance_rejects_inadmissible_words(words):
+    with pytest.raises(InadmissibleWord):
+        coding_invariance(moebius_pair(), np.array(words))
