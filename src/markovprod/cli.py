@@ -10,7 +10,8 @@ Runs are deterministic: a (config, seed) pair yields bit-identical reports,
 so no timestamps or machine identifiers appear in any output.  Each run
 writes its CSV data files plus one JSON summary embedding the full resolved
 configuration.  Files land atomically (temp file in the target directory,
-then rename).
+then rename), and a run that stops with an error removes the files it has
+written, so it never leaves a partial report.
 
 Exit codes: 0 success, 1 verification failure (a split certificate is
 missing or falsified, an oracle row fails, or a coding invariance residual
@@ -22,6 +23,7 @@ goes to stderr), so a crash never reads as a failed verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -434,32 +436,37 @@ def _run(args: argparse.Namespace) -> int:
 
     names = _all_subcommands(config["experiments"]) if args.subcommand == "all" else [args.subcommand]
     results = {}
-    produced = []
-    for name in names:
-        block_name, runner = REGISTRY[name]
-        block = experiment_block(config["experiments"], block_name)
-        results[name], tables = runner(sys_, config, block, seed)
-        for filename in tables:
-            _write_csv(os.path.join(outdir, filename), *tables[filename])
-        produced.extend(tables)
-        del tables  # free the rows before the next runner starts
-    ok = all(result.get("verdict", HOLDS) == HOLDS for result in results.values())
-    if args.subcommand != "all":
-        results = results[args.subcommand]
-
-    summary = {
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "seed": seed,
-        "config": config,
-        "results": results,
-        "verdict": HOLDS if ok else FAILS,
-    }
-    path = os.path.join(outdir, f"summary-{args.subcommand}.json")
-    _atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    written = []
+    try:
+        for name in names:
+            block_name, runner = REGISTRY[name]
+            block = experiment_block(config["experiments"], block_name)
+            results[name], tables = runner(sys_, config, block, seed)
+            for filename in tables:
+                _write_csv(os.path.join(outdir, filename), *tables[filename])
+                written.append(os.path.join(outdir, filename))
+            del tables  # free the rows before the next runner starts
+        ok = all(result.get("verdict", HOLDS) == HOLDS for result in results.values())
+        if args.subcommand != "all":
+            results = results[args.subcommand]
+        summary = {
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "seed": seed,
+            "config": config,
+            "results": results,
+            "verdict": HOLDS if ok else FAILS,
+        }
+        path = os.path.join(outdir, f"summary-{args.subcommand}.json")
+        _atomic_write(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        for csv_path in written:  # leave no partial report behind
+            with contextlib.suppress(OSError):
+                os.remove(csv_path)
+        raise
     print(f"{args.subcommand}: {summary['verdict']} ({path})")
-    for name in produced:
-        print(f"  wrote {os.path.join(outdir, name)}")
+    for csv_path in written:
+        print(f"  wrote {csv_path}")
     return 0 if ok else 1
 
 

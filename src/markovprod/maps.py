@@ -7,7 +7,8 @@ Provides:
 - AffineMap x -> A x + b and MoebiusMap x -> (a x + b) / (c x + d) (1-D)
 - point evaluation, and `orbit`, the one loop applying a word's maps in
   turn: forward orbits f_{w_n} o ... o f_{w_1} pass the word, coding-order
-  compositions f_{w_1} o ... o f_{w_n} its reverse; batched in one loop too
+  compositions f_{w_1} o ... o f_{w_n} its reverse; batched in one loop
+  too, which `advance_rows` runs one symbol column at a time
 - monotone sign classification of a system: the common pattern
   t in {+,-}^m such that coordinate function j of every map follows t
   when t_j = t_1 and the flipped pattern otherwise, with zero partial
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DenominatorVanishes,
+    InadmissibleWord,
     NotSelfMapping,
     OutsideDomain,
 )
@@ -345,19 +347,6 @@ def forward_box_chain(sys: MapSystem, word: Word, box: IntervalBox | None = None
     return orbit(box_image, sys.maps, word, sys.ambient if box is None else box)
 
 
-def reverse_box_chain(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> list[IntervalBox]:
-    """Chained enclosures of f_{w_1} o ... o f_{w_j}(box) for j = 0..n.
-
-    Entry j encloses the fibre of the length-j prefix.  Each entry is
-    evaluated innermost-first (the only sound order for chained images), so
-    the whole chain costs O(n^2) box images.  When `box` is the ambient box
-    (the default) the entries are nested, because every further map sends
-    the ambient box into itself before the prefix is applied.
-    """
-    word = check_word(word, sys.k)
-    return [reverse_box(sys, word[:j], box) for j in range(len(word) + 1)]
-
-
 def reverse_box(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> IntervalBox:
     word = check_word(word, sys.k)
     return orbit(box_image, sys.maps, reversed(word), sys.ambient if box is None else box)[-1]
@@ -366,8 +355,12 @@ def reverse_box(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> I
 def _masked_reverse(sys: MapSystem, words, step, arrays: list) -> list:
     """Send each row of `arrays` through its word's maps, last symbol first:
     per depth and symbol j, `step(f_j, *rows)` returns one array per entry
-    of `arrays`, which are updated in place and returned."""
+    of `arrays`, which are updated in place and returned.  A symbol outside
+    1..k raises InadmissibleWord; checking costs one min and one max."""
     words = np.asarray(words)
+    low, high = (words.min(), words.max()) if words.size else (1, 1)
+    if low < 1 or high > sys.k:
+        raise InadmissibleWord(f"symbol {low if low < 1 else high} outside 1..{sys.k}")
     for t in range(words.shape[1] - 1, -1, -1):
         col = words[:, t]
         for j in range(1, sys.k + 1):
@@ -379,17 +372,31 @@ def _masked_reverse(sys: MapSystem, words, step, arrays: list) -> list:
     return arrays
 
 
+def advance_rows(sys: MapSystem, symbols, arrays: list) -> list:
+    """One forward step for many rows at once: row i of the boxes [lo, hi]
+    and of the point clouds in `arrays` = [lo, hi, *clouds], all of shape
+    (rows, ..., m), goes through f_{symbols[i]}, in place."""
+
+    def step(f, lo, hi, *clouds):
+        flat = [*map_boxes(f, lo.reshape(-1, f.dim), hi.reshape(-1, f.dim))]
+        flat += [map_points(f, c.reshape(-1, f.dim)) for c in clouds]
+        return [image.reshape(a.shape) for image, a in zip(flat, (lo, hi, *clouds))]
+
+    return _masked_reverse(sys, np.asarray(symbols)[:, None], step, arrays)
+
+
 def batch_reverse_points(sys: MapSystem, words: np.ndarray, anchor) -> np.ndarray:
     """Reverse compositions of many words at once.  words is an (n, depth)
-    integer array of symbols, anchor one point of shape (m,) or one point
-    per word, shape (n, m); the result is (n, m)."""
+    integer array of symbols in 1..k, anchor one point of shape (m,) or one
+    point per word, shape (n, m); the result is (n, m)."""
     n = np.asarray(words).shape[0]
     pts = np.array(np.broadcast_to(np.asarray(anchor, dtype=float), (n, sys.dim)))
     return _masked_reverse(sys, words, lambda f, p: (map_points(f, p),), [pts])[0]
 
 
 def batch_reverse_boxes(sys: MapSystem, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chained enclosures of the reverse compositions of many words at once."""
+    """Chained enclosures of the reverse compositions of many words at once;
+    words as in `batch_reverse_points`."""
     n = np.asarray(words).shape[0]
     lo = np.tile(np.asarray(sys.ambient.lo, dtype=float), (n, 1))
     hi = np.tile(np.asarray(sys.ambient.hi, dtype=float), (n, 1))

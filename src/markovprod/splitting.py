@@ -12,7 +12,8 @@ under every further composition of system maps.  Provides:
 - verify_split_horizon: finite-horizon falsification/certification sweep over
   symbol prefixes, comparing chained enclosures (certification, with float
   endpoints rounded to nearest) and sampled point clouds (a cloud overlap
-  falsifies, since the true image projections contain the cloud extremes)
+  falsifies, since the true image projections contain the cloud extremes),
+  as one batched frontier walk in blocks of `BLOCK_POINTS` cloud points
 - search_witness: smallest-first deterministic enumeration of word pairs
 - normalize_witness: turn a witness into an equal-length pair of words that
   is admissible for the inverse measure and starts at a common symbol, the
@@ -40,6 +41,7 @@ from .maps import (
     IntervalBox,
     MapSystem,
     MonotoneType,
+    advance_rows,
     box_image,
     forward_box_chain,
     injective,
@@ -51,6 +53,9 @@ from .shift import PRIMITIVE, Word, check_word, is_admissible
 
 SEARCH_BUDGET = 1 << 22
 HORIZON_BUDGET = 1 << 20
+# Cloud points mapped in one block of the horizon walk (both witness images
+# together) or of the sync trials; this caps the memory both use.
+BLOCK_POINTS = 1 << 15
 
 MONOTONE_ORDER = "monotone-order"
 INJECTIVE_1D = "injective-1d"
@@ -76,8 +81,8 @@ class HorizonReport:
     per_n[d] is "certified" when the chained enclosures were
     projection-disjoint at every checked prefix of length d, "violated" when
     some sampled cloud pair overlapped in a projection, and "not-falsified"
-    otherwise.  `violation` holds the first offender in prefix-lexicographic
-    (preorder) position as (n, coordinate, prefix).
+    otherwise.  `violation` holds the first offender as (n, coordinate,
+    prefix): first in preorder (exhaustive) or in sample order (sampled).
     """
 
     n_max: int
@@ -187,40 +192,26 @@ def certify_split(sys: MapSystem, word_a: Word, word_b: Word) -> SplitWitness | 
     )
 
 
-def _van_der_corput(count: int, base: int) -> np.ndarray:
-    out = np.zeros(count)
-    for i in range(count):
-        n, denom, x = i + 1, base, 0.0
-        while n:
-            n, rem = divmod(n, base)
-            x += rem / denom
-            denom *= base
-        out[i] = x
-    return out
-
-
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
 
 
 def ambient_cloud(sys: MapSystem, size: int) -> np.ndarray:
     """Deterministic point cloud in the ambient box: corners plus a
-    low-discrepancy Halton fill.  Corners guarantee that affine coordinate
-    extremes are attained exactly."""
+    low-discrepancy Halton fill, whose coordinate s is the van der Corput
+    sequence in base _HALTON_BASES[s].  Corners guarantee that affine
+    coordinate extremes are attained exactly."""
     corners = np.array(sys.ambient.corners(), dtype=float)
-    fill = max(0, size - corners.shape[0])
-    if fill:
-        lo = np.asarray(sys.ambient.lo, dtype=float)
-        hi = np.asarray(sys.ambient.hi, dtype=float)
-        u = np.stack(
-            [_van_der_corput(fill, _HALTON_BASES[s % len(_HALTON_BASES)]) for s in range(sys.dim)],
-            axis=1,
-        )
-        corners = np.vstack([corners, lo + u * (hi - lo)])
-    return corners
-
-
-def _intervals_overlap(lo1, hi1, lo2, hi2) -> bool:
-    return hi1 >= lo2 and hi2 >= lo1
+    n = np.arange(1, max(0, size - len(corners)) + 1)
+    u = np.zeros((len(n), sys.dim))
+    for s in range(sys.dim):
+        base = _HALTON_BASES[s % len(_HALTON_BASES)]
+        digits, denom = n, base
+        while digits.any():
+            digits, rem = np.divmod(digits, base)
+            u[:, s] += rem / denom
+            denom *= base
+    lo, hi = corners[0], corners[-1]
+    return np.vstack([corners, lo + u * (hi - lo)])
 
 
 def verify_split_horizon(
@@ -233,100 +224,89 @@ def verify_split_horizon(
     cloud_size: int = 64,
     seed: int = 0,
 ) -> HorizonReport:
-    """Sweep compositions up to length n_max over symbol prefixes.
+    """Sweep compositions up to length n_max over symbol prefixes: all k^n_max
+    of them (prefix_samples=None, budget 2^20) or that many sampled ones.
 
-    With prefix_samples=None every one of the k^n_max prefixes is walked as a
-    shared tree (budget 2^20 nodes); otherwise that many uniformly sampled
-    prefixes are walked independently.  The full traversal always completes,
-    so the certification table is exact for the checked prefixes even when a
-    violation is found early.
+    One frontier walk serves both; a row holds both witness images'
+    enclosures and clouds under one prefix.  Each row expands into its k
+    children in lexicographic order, or the root spawns one row per sample
+    (drawn a block at a time) and each advances by its own drawn symbol.
+    `maps.advance_rows` maps children in blocks of at most `BLOCK_POINTS`
+    cloud points, walked depth first, so memory does not grow with k^n_max
+    or prefix_samples.  The walk always completes, so the certification
+    table is exact for the checked prefixes.  The violation is the first
+    offender in row order (of leaves or of samples) at its shallowest
+    violating depth; for the exhaustive walk that is preorder: (1, 2, 2) at
+    depth 3 precedes (2, 2) at depth 2.
     """
     word_a, word_b = _validate_pair(sys, word_a, word_b)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    box_a = forward_box_chain(sys, word_a)[-1]
-    box_b = forward_box_chain(sys, word_b)[-1]
+    k = sys.k
+    if prefix_samples is None and k**n_max > HORIZON_BUDGET:
+        raise BudgetExceeded(f"{k}^{n_max} prefixes exceed the horizon budget {HORIZON_BUDGET}")
+    if prefix_samples is not None and prefix_samples < 0:
+        raise ValueError("prefix_samples must be >= 0")
+    boxes = [forward_box_chain(sys, w)[-1] for w in (word_a, word_b)]
     cloud = ambient_cloud(sys, cloud_size)
-    cloud_a = orbit(map_points, sys.maps, word_a, cloud)[-1]
-    cloud_b = orbit(map_points, sys.maps, word_b, cloud)[-1]
+    rows_per_block = max(1, BLOCK_POINTS // (2 * len(cloud)))
+    # A block: (depth, each row's first leaf in row order, that leaf's word, whose first `depth`
+    # symbols are the row's prefix, both images' boxes (rows, 2, m) and clouds (rows, 2, C, m)).
+    clouds = np.stack([orbit(map_points, sys.maps, w, cloud)[-1] for w in (word_a, word_b)])
+    lo = np.array([[b.lo for b in boxes]], dtype=float)
+    hi = np.array([[b.hi for b in boxes]], dtype=float)
+    root = (0, np.zeros(1, dtype=np.int64), np.ones((1, n_max), dtype=np.int64), lo, hi, clouds[None])
+
+    def children(depth, leaf, words, *arrays):  # yields (last, block); the walk drops it after the last
+        def block(parent, leaf, words):
+            return depth + 1, leaf, words, *advance_rows(sys, words[:, depth], [a[parent] for a in arrays])
+
+        if prefix_samples is None:
+            parent = np.repeat(np.arange(len(leaf)), k)
+            j = np.tile(np.arange(k), len(leaf))
+            leaf, words = leaf[parent] + j * k ** (n_max - depth - 1), words[parent]
+            words[:, depth] = j + 1
+            for r in range(0, len(leaf), rows_per_block):
+                rows = slice(r, r + rows_per_block)
+                yield r + rows_per_block >= len(leaf), block(parent[rows], leaf[rows], words[rows])
+        elif depth:
+            yield True, block(np.arange(len(leaf)), leaf, words)
+        else:  # the root spawns the samples, drawn block by block: the same stream as one draw
+            rng = np.random.default_rng(seed)
+            for r in range(0, prefix_samples, rows_per_block):
+                drawn = rng.integers(1, k + 1, size=(min(rows_per_block, prefix_samples - r), n_max))
+                last = r + rows_per_block >= prefix_samples
+                yield last, block(np.zeros(len(drawn), dtype=int), np.arange(r, r + len(drawn)), drawn)
 
     cert = [True] * (n_max + 1)
-    state = {"violation": None, "nodes": 0}
+    first = None  # ((first leaf, depth), violation) of the first offender so far
+    stack = [iter([(True, root)])]
+    while stack:
+        last, (depth, leaf, words, lo, hi, clouds) = next(stack[-1])
+        if last:
+            stack.pop()
+        if ((hi[:, 0] >= lo[:, 1]) & (hi[:, 1] >= lo[:, 0])).any():
+            cert[depth] = False
+        c_lo, c_hi = clouds.min(axis=2), clouds.max(axis=2)
+        overlap = (c_hi[:, 0] >= c_lo[:, 1]) & (c_hi[:, 1] >= c_lo[:, 0])
+        r = int(overlap.any(axis=1).argmax())
+        if overlap[r].any() and (first is None or (leaf[r], depth) < first[0]):
+            first = (leaf[r], depth), (depth, int(overlap[r].argmax()) + 1, tuple(words[r, :depth].tolist()))
+        if depth < n_max and prefix_samples != 0:
+            stack.append(children(depth, leaf, words, lo, hi, clouds))
 
-    def visit(depth: int, ba, bb, ca, cb, prefix: Word) -> None:
-        state["nodes"] += 1
-        for s in range(sys.dim):
-            if _intervals_overlap(ba.lo[s], ba.hi[s], bb.lo[s], bb.hi[s]):
-                cert[depth] = False
-                break
-        if state["violation"] is None:
-            a_lo, a_hi = ca.min(axis=0), ca.max(axis=0)
-            b_lo, b_hi = cb.min(axis=0), cb.max(axis=0)
-            for s in range(sys.dim):
-                if _intervals_overlap(a_lo[s], a_hi[s], b_lo[s], b_hi[s]):
-                    state["violation"] = (depth, s + 1, prefix)
-                    break
-
-    if prefix_samples is None:
-        if sys.k**n_max > HORIZON_BUDGET:
-            raise BudgetExceeded(
-                f"{sys.k}^{n_max} prefixes exceed the horizon budget {HORIZON_BUDGET}"
-            )
-
-        def walk(depth: int, ba, bb, ca, cb, prefix: Word) -> None:
-            visit(depth, ba, bb, ca, cb, prefix)
-            if depth == n_max:
-                return
-            for j in range(1, sys.k + 1):
-                f = sys.maps[j - 1]
-                walk(
-                    depth + 1,
-                    box_image(f, ba),
-                    box_image(f, bb),
-                    map_points(f, ca),
-                    map_points(f, cb),
-                    prefix + (j,),
-                )
-
-        walk(0, box_a, box_b, cloud_a, cloud_b, ())
-        exhaustive = True
-        prefixes = sys.k**n_max
-    else:
-        rng = np.random.default_rng(seed)
-        sampled = rng.integers(1, sys.k + 1, size=(prefix_samples, n_max)) if n_max else np.zeros((prefix_samples, 0), dtype=int)
-        visit(0, box_a, box_b, cloud_a, cloud_b, ())
-        for row in sampled:
-            word = tuple(int(v) for v in row)
-            boxes_a = orbit(box_image, sys.maps, word, box_a)
-            boxes_b = orbit(box_image, sys.maps, word, box_b)
-            clouds_a = orbit(map_points, sys.maps, word, cloud_a)
-            clouds_b = orbit(map_points, sys.maps, word, cloud_b)
-            for depth in range(1, n_max + 1):
-                visit(depth, boxes_a[depth], boxes_b[depth], clouds_a[depth], clouds_b[depth], word[:depth])
-        exhaustive = False
-        prefixes = prefix_samples
-
-    certified_to = -1
-    for d in range(n_max + 1):
-        if not cert[d]:
-            break
-        certified_to = d
-    per_n = []
-    violation = state["violation"]
-    for d in range(n_max + 1):
-        if violation is not None and violation[0] == d:
-            per_n.append("violated")
-        elif cert[d]:
-            per_n.append("certified")
-        else:
-            per_n.append("not-falsified")
+    violation = None if first is None else first[1]
     return HorizonReport(
         n_max=n_max,
-        exhaustive=exhaustive,
-        prefixes_checked=prefixes,
-        per_n=tuple(per_n),
+        exhaustive=prefix_samples is None,
+        prefixes_checked=k**n_max if prefix_samples is None else prefix_samples,
+        per_n=tuple(
+            "violated" if violation is not None and violation[0] == d
+            else "certified" if ok else "not-falsified"
+            for d, ok in enumerate(cert)
+        ),
         violation=violation,
-        certified_to=certified_to,
+        certified_to=cert.index(False) - 1 if False in cert else n_max,
     )
 
 

@@ -3,10 +3,13 @@ averages.
 
 Upper curves are chained box enclosures (nonincreasing along forward
 words; float endpoints are rounded to nearest, not outward); lower curves
-track a deterministic point cloud through the same maps, bracketing the
-image diameter up to that rounding.  Rates are fitted on the upper curve
-only.  Fibre (reverse-order) enclosures test weak hyperbolicity per
-sample; a finite word's coding point has the enclosure diameter as bound.
+track a deterministic point cloud, built once per run, through the same
+maps, bracketing the image diameter up to that rounding.  All trials
+advance together, one symbol column at a time through `maps.advance_rows`,
+in blocks of `splitting.BLOCK_POINTS` cloud points, and each gets the
+floats of its one-trial curve.  Rates are fitted on the upper curve only.
+Fibre (reverse-order) enclosures test weak hyperbolicity per sample; a
+finite word's coding point has the enclosure diameter as bound.
 
 The Birkhoff orbit is sequential and runs in fixed-length chunks: numpy
 draws each chunk's uniforms and tabulates its next states, and one Python
@@ -26,17 +29,15 @@ from .errors import DegenerateCurve, InadmissibleWord, NoRowPositiveState, NotPr
 from .maps import (
     MapSystem,
     MoebiusMap,
+    advance_rows,
     batch_reverse_boxes,
     batch_reverse_points,
     evaluate_map,
-    forward_box_chain,
-    map_points,
-    orbit,
     reverse_box,
     reverse_composition,
 )
 from .shift import PRIMITIVE, Word, check_word, sample_word, sample_words
-from .splitting import ambient_cloud
+from .splitting import BLOCK_POINTS, ambient_cloud
 
 FIT_FLOOR = 1e-14
 DEFAULT_CLOUD = 256
@@ -58,23 +59,43 @@ class DecayCurve:
     lower: tuple[float, ...]
 
 
+def _forward_extents(sys: MapSystem, words: list[Word], cloud: np.ndarray | None = None):
+    """Side lengths (depth + 1, rows, m) of the enclosures f_{w_n} o ... o
+    f_{w_1}(M) of the equal-length `words`, n = 0..depth, and of the images
+    of `cloud` if given; all rows advance one symbol column at a time."""
+    words = np.array(words, dtype=np.int64)
+    arrays = [np.tile(np.asarray(c, dtype=float), (len(words), 1)) for c in (sys.ambient.lo, sys.ambient.hi)]
+    arrays += [] if cloud is None else [np.tile(cloud, (len(words), 1, 1))]
+    boxes, clouds = [], []
+    for t in range(words.shape[1] + 1):
+        lo, hi, *pts = advance_rows(sys, words[:, t - 1], arrays) if t else arrays
+        boxes.append(hi - lo)
+        clouds += [c.max(axis=1) - c.min(axis=1) for c in pts]
+    return np.array(boxes), np.array(clouds)
+
+
+def _decay_curves(sys: MapSystem, words: list[Word], cloud: np.ndarray) -> list[DecayCurve]:
+    """The DecayCurve of each of the equal-length `words`, in blocks of at
+    most `BLOCK_POINTS` cloud points; every l1 sum adds the coordinates in
+    the order of the one-word curve."""
+    per_block = max(1, BLOCK_POINTS // len(cloud))
+    curves = []
+    for i in range(0, len(words), per_block):
+        boxes, clouds = _forward_extents(sys, words[i : i + per_block], cloud)
+        upper = sum(boxes[..., s] for s in range(sys.dim)).T.tolist()
+        lower = clouds.sum(axis=-1).T.tolist()
+        rows = zip(words[i : i + per_block], upper, lower)
+        curves += [DecayCurve(w, tuple(range(len(w) + 1)), tuple(u), tuple(v)) for w, u, v in rows]
+    return curves
+
+
 def image_diameter_curve(
     sys: MapSystem, word: Word, n_max: int, cloud_size: int = DEFAULT_CLOUD
 ) -> DecayCurve:
     word = check_word(word, sys.k)
     if len(word) < n_max:
         raise ValueError(f"word of length {len(word)} cannot drive {n_max} steps")
-    boxes = forward_box_chain(sys, word[:n_max])
-    upper = tuple(
-        float(sum(float(h) - float(l) for l, h in zip(b.lo, b.hi))) for b in boxes
-    )
-    clouds = orbit(map_points, sys.maps, word[:n_max], ambient_cloud(sys, cloud_size))
-    return DecayCurve(
-        word=word[:n_max],
-        n=tuple(range(n_max + 1)),
-        upper=upper,
-        lower=tuple(float((c.max(axis=0) - c.min(axis=0)).sum()) for c in clouds),
-    )
+    return _decay_curves(sys, [word[:n_max]], ambient_cloud(sys, cloud_size))[0]
 
 
 def fit_decay_rate(curve: DecayCurve) -> tuple[float, float]:
@@ -128,14 +149,9 @@ def sync_experiment(
     _require_row_positive(sys)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    curves = []
-    fits = []
-    for t in range(trials):
-        word = sample_word(sys.shift, n_max, seed=seed + t)
-        curve = image_diameter_curve(sys, word, n_max, cloud_size)
-        c_hat, q_hat = fit_decay_rate(curve)
-        curves.append(curve)
-        fits.append(RateFit(trial=t, q_hat=q_hat, c_hat=c_hat))
+    words = [sample_word(sys.shift, n_max, seed=seed + t) for t in range(trials)]
+    curves = _decay_curves(sys, words, ambient_cloud(sys, cloud_size))
+    fits = [RateFit(trial=t, q_hat=q, c_hat=c) for t, (c, q) in enumerate(map(fit_decay_rate, curves))]
     return SyncResult(curves=tuple(curves), fits=tuple(fits))
 
 
@@ -169,22 +185,14 @@ def measure_contraction_experiment(
     _require_row_positive(sys)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = []
-    fits = []
-    for t in range(trials):
-        word = sample_word(sys.shift, n_max, seed=seed + t)
-        boxes = forward_box_chain(sys, word)
-        for s in range(1, sys.dim + 1):
-            lengths = [float(b.hi[s - 1]) - float(b.lo[s - 1]) for b in boxes]
-            for n, length in enumerate(lengths):
-                rows.append(ContractionRow(trial=t, s=s, n=n, length=length))
-            curve = DecayCurve(
-                word=word,
-                n=tuple(range(len(lengths))),
-                upper=tuple(lengths),
-                lower=tuple(lengths),
-            )
-            c_hat, q_hat = fit_decay_rate(curve)
+    words = [sample_word(sys.shift, n_max, seed=seed + t) for t in range(trials)]
+    lengths, _ = _forward_extents(sys, words)
+    rows, fits = [], []
+    for t, (word, per_s) in enumerate(zip(words, lengths.transpose(1, 2, 0).tolist())):
+        for s, curve in enumerate(per_s, start=1):
+            rows += [ContractionRow(trial=t, s=s, n=n, length=v) for n, v in enumerate(curve)]
+            n = tuple(range(len(curve)))
+            c_hat, q_hat = fit_decay_rate(DecayCurve(word=word, n=n, upper=tuple(curve), lower=tuple(curve)))
             fits.append(ContractionFit(trial=t, s=s, q_hat=q_hat, c_hat=c_hat))
     return ContractionResult(rows=tuple(rows), fits=tuple(fits))
 
@@ -243,7 +251,6 @@ def coding_invariance(sys: MapSystem, words) -> tuple[float, float, int]:
     words = np.asarray(words)
     if words.ndim != 2 or words.shape[1] < 2:
         raise InadmissibleWord("coding invariance needs words of at least two symbols")
-    check_word(np.unique(words), sys.k)
     anchor = sys.ambient.center()
     full = batch_reverse_points(sys, words, anchor)
     image = batch_reverse_points(sys, words[:, :1], batch_reverse_points(sys, words[:, 1:], anchor))

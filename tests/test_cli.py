@@ -415,6 +415,23 @@ def test_report_that_cannot_be_written_is_config_error(tmp_path, capsys, blocked
     assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
 
 
+@pytest.mark.parametrize(
+    "subcommand, experiments",
+    [
+        ("stationary", {"stationary": {}}),
+        ("all", {"stationary": {}, "contract": {"trials": 2, "n_max": 6}}),
+    ],
+)
+def test_failed_summary_write_leaves_no_partial_report(tmp_path, subcommand, experiments):
+    # The CSVs land before the summary; when the summary cannot be written
+    # they are taken back, so only the blocking directory remains.
+    path = write_config(tmp_path, cantor_config(**experiments))
+    out = tmp_path / "out"
+    (out / f"summary-{subcommand}.json").mkdir(parents=True)
+    assert main([subcommand, "--config", path, "--out", str(out)]) == 2
+    assert os.listdir(out) == [f"summary-{subcommand}.json"]
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])

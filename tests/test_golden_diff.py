@@ -54,11 +54,13 @@ def test_extra_runs_change_one_key_of_a_shipped_config(tmp_path):
     assert {label: inv.subcommand for label, inv in runs.items()} == {
         "oracle-float-cantor_markov": "oracle",
         "split-sampled-diagonal_2d": "split-check",
+        "split-exhaustive-diagonal_2d": "split-check",
     }
     configs = Path(__file__).resolve().parents[1] / "configs"
     for label, (name, block, key, value) in {
         "oracle-float-cantor_markov": ("cantor_markov", "oracle", "exact", False),
         "split-sampled-diagonal_2d": ("diagonal_2d", "split", "prefix_samples", 500),
+        "split-exhaustive-diagonal_2d": ("diagonal_2d", "split", "horizon", 14),
     }.items():
         shipped = load_config(str(configs / f"{name}.json"))
         changed = load_config(str(runs[label].config))

@@ -9,6 +9,7 @@ from conftest import THIRD, UNIT, cantor_iid, cantor_markov, diagonal_2d, moebiu
 from markovprod import (
     AffineMap,
     DenominatorVanishes,
+    InadmissibleWord,
     IntervalBox,
     MapSystem,
     MoebiusMap,
@@ -21,7 +22,6 @@ from markovprod import (
     forward_orbit,
     monotone_classes,
     reverse_box,
-    reverse_box_chain,
     reverse_composition,
 )
 from markovprod.maps import (
@@ -222,16 +222,6 @@ def test_forward_box_chain_indexing():
     assert chain[2].lo[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
-def test_reverse_box_chain_nested_prefixes():
-    sys = cantor_markov()
-    word = (1, 2, 1, 2, 1)
-    chain = reverse_box_chain(sys, word)
-    assert len(chain) == len(word) + 1
-    for j in range(len(word)):
-        assert chain[j].contains_box(chain[j + 1])
-        assert chain[j + 1] == reverse_box(sys, word[: j + 1])
-
-
 def test_reverse_box_equals_forward_box_of_reversed_word():
     sys = cantor_iid()
     word = (1, 2, 2, 1)
@@ -391,6 +381,24 @@ def test_batch_reverse_points_takes_one_anchor_per_word():
     rows = batch_reverse_points(sys, words, anchors)
     for word, anchor, row in zip(words, anchors, rows):
         assert row.tolist() == batch_reverse_points(sys, word[None, :], anchor).tolist()[0]
+
+
+@pytest.mark.parametrize("words, bad", [([[0, 2], [1, 1]], 0), ([[1, 2], [3, 1]], 3)])
+def test_batch_compositions_reject_symbols_outside_the_alphabet(words, bad):
+    # A symbol no map answers to must not be skipped: [[0, 2], [3, 1]]
+    # would otherwise give the rows of [[2], [1]].
+    sys = moebius_pair()
+    with pytest.raises(InadmissibleWord, match=f"symbol {bad} outside 1..2"):
+        batch_reverse_points(sys, np.array(words), sys.ambient.center())
+    with pytest.raises(InadmissibleWord, match=f"symbol {bad} outside 1..2"):
+        batch_reverse_boxes(sys, np.array(words))
+
+
+def test_batch_compositions_take_empty_word_arrays():
+    sys = moebius_pair()
+    assert batch_reverse_points(sys, np.zeros((0, 3), dtype=int), (0.5,)).shape == (0, 1)
+    lo, hi = batch_reverse_boxes(sys, np.zeros((2, 0), dtype=int))
+    assert lo.tolist() == [[0.0], [0.0]] and hi.tolist() == [[1.0], [1.0]]
 
 
 def test_ambient_cloud_contains_corners_and_stays_inside():

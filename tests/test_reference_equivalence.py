@@ -2,9 +2,9 @@
 with plain references.
 
 The references below are the straightforward per-step and per-call
-implementations that the library's chunked orbit, memoized measures and
-single composition primitive (`maps.orbit`, plus one masked batch loop)
-replace.  Every comparison is `==` on floats (plus `repr`, which also tells
+implementations that the library's chunked orbit, memoized measures, single
+composition primitive (`maps.orbit`, plus one masked batch loop), batched
+horizon walk and batched decay curves replace.  Every comparison is `==` on floats (plus `repr`, which also tells
 0.0 from -0.0): the new code must compute the same doubles, not close ones.
 """
 
@@ -28,6 +28,7 @@ from markovprod import (
     InadmissibleWord,
     IntervalBox,
     MapSystem,
+    MarkovProdError,
     MoebiusMap,
     apply_operator,
     build_initial,
@@ -35,13 +36,17 @@ from markovprod import (
     ergodic_average,
     estimate_target,
     make_measure,
+    measure_contraction_experiment,
     resample,
+    sample_word,
     stability_experiment,
+    sync_experiment,
     wasserstein_1d,
     weak_star_distance,
 )
-from markovprod import oracle, synchronization
+from markovprod import oracle, splitting, synchronization
 from markovprod.maps import (
+    advance_rows,
     batch_reverse_boxes,
     batch_reverse_points,
     box_image,
@@ -51,7 +56,6 @@ from markovprod.maps import (
     map_boxes,
     map_points,
     reverse_box,
-    reverse_box_chain,
     reverse_composition,
 )
 from markovprod.markov_operator import (
@@ -60,13 +64,19 @@ from markovprod.markov_operator import (
     StateTaggedMeasure,
     _allocate_slots,
 )
-from markovprod.splitting import ambient_cloud, verify_split_horizon
+from markovprod.splitting import HorizonReport, ambient_cloud, verify_split_horizon
 from markovprod.synchronization import (
     BATCH_COUNT,
+    ContractionFit,
+    ContractionResult,
+    ContractionRow,
     DecayCurve,
     ErgodicResult,
+    RateFit,
+    SyncResult,
     coding_invariance,
     coding_point,
+    fit_decay_rate,
     image_diameter_curve,
 )
 from markovprod.synchronization import test_function as observable
@@ -469,17 +479,6 @@ def ref_reverse_box(sys, word, box=None):
     return cur
 
 
-def ref_reverse_box_chain(sys, word, box=None):
-    start = sys.ambient if box is None else box
-    out = [start]
-    for j in range(1, len(word) + 1):
-        cur = start
-        for s in reversed(word[:j]):
-            cur = box_image(sys.map_for(s), cur)
-        out.append(cur)
-    return out
-
-
 def ref_reverse_boxes_disjoint(maps, ambient, word_a, word_b):
     def rev_box(word):
         box = ambient
@@ -530,44 +529,77 @@ def ref_enumerate_membership(maps, ambient, tables, x, s, n):
     return total, count, words
 
 
-def ref_sampled_horizon(sys, word_a, word_b, n_max, prefix_samples, cloud_size, seed):
-    """Per-depth certification flags and the first violation of the sampled
-    horizon walk, with the cloud loops written out."""
-    box_a = ref_forward_box_chain(sys, word_a)[-1]
-    box_b = ref_forward_box_chain(sys, word_b)[-1]
-    cloud = ambient_cloud(sys, cloud_size)
-    cloud_a = cloud
-    cloud_b = cloud
-    for s in word_a:
-        cloud_a = map_points(sys.map_for(s), cloud_a)
-    for s in word_b:
-        cloud_b = map_points(sys.map_for(s), cloud_b)
-    cert = [True] * (n_max + 1)
-    violation = None
+class RefSweep:
+    """The node checks of the horizon walk, one node at a time: per-depth
+    certification flags and the first violation in visiting order."""
 
-    def visit(depth, ba, bb, ca, cb, prefix):
-        nonlocal violation
-        if any(ba.hi[s] >= bb.lo[s] and bb.hi[s] >= ba.lo[s] for s in range(sys.dim)):
-            cert[depth] = False
-        if violation is None:
+    def __init__(self, sys, word_a, word_b, n_max, cloud_size):
+        self.sys, self.n_max = sys, n_max
+        self.cert = [True] * (n_max + 1)
+        self.violation = None
+        cloud_a = cloud_b = ambient_cloud(sys, cloud_size)
+        for s in word_a:
+            cloud_a = map_points(sys.map_for(s), cloud_a)
+        for s in word_b:
+            cloud_b = map_points(sys.map_for(s), cloud_b)
+        self.root = (ref_forward_box_chain(sys, word_a)[-1], ref_forward_box_chain(sys, word_b)[-1],
+                     cloud_a, cloud_b)
+
+    def visit(self, depth, ba, bb, ca, cb, prefix):
+        if any(ba.hi[s] >= bb.lo[s] and bb.hi[s] >= ba.lo[s] for s in range(self.sys.dim)):
+            self.cert[depth] = False
+        if self.violation is None:
             a_lo, a_hi = ca.min(axis=0), ca.max(axis=0)
             b_lo, b_hi = cb.min(axis=0), cb.max(axis=0)
-            for s in range(sys.dim):
+            for s in range(self.sys.dim):
                 if a_hi[s] >= b_lo[s] and b_hi[s] >= a_lo[s]:
-                    violation = (depth, s + 1, prefix)
+                    self.violation = (depth, s + 1, prefix)
                     break
 
+    def report(self, exhaustive, prefixes):
+        per_n = tuple(
+            "violated" if self.violation is not None and self.violation[0] == d
+            else "certified" if ok else "not-falsified"
+            for d, ok in enumerate(self.cert)
+        )
+        return HorizonReport(n_max=self.n_max, exhaustive=exhaustive, prefixes_checked=prefixes,
+                             per_n=per_n, violation=self.violation,
+                             certified_to=len(list(takewhile(bool, self.cert))) - 1)
+
+
+def ref_exhaustive_horizon(sys, word_a, word_b, n_max, cloud_size):
+    """The exhaustive horizon walk as the recursive tree walk it was: every
+    node is visited in preorder, children in symbol order."""
+    sweep = RefSweep(sys, word_a, word_b, n_max, cloud_size)
+
+    def walk(depth, ba, bb, ca, cb, prefix):
+        sweep.visit(depth, ba, bb, ca, cb, prefix)
+        if depth == n_max:
+            return
+        for j in range(1, sys.k + 1):
+            f = sys.maps[j - 1]
+            walk(depth + 1, box_image(f, ba), box_image(f, bb), map_points(f, ca), map_points(f, cb),
+                 prefix + (j,))
+
+    walk(0, *sweep.root, ())
+    return sweep.report(True, sys.k**n_max)
+
+
+def ref_sampled_horizon(sys, word_a, word_b, n_max, prefix_samples, cloud_size, seed):
+    """The sampled horizon walk with the root visited once and then each
+    sample's prefixes in turn, one map at a time."""
+    sweep = RefSweep(sys, word_a, word_b, n_max, cloud_size)
     rng = np.random.default_rng(seed)
     sampled = rng.integers(1, sys.k + 1, size=(prefix_samples, n_max))
-    visit(0, box_a, box_b, cloud_a, cloud_b, ())
+    sweep.visit(0, *sweep.root, ())
     for row in sampled:
-        ba, bb, ca, cb = box_a, box_b, cloud_a, cloud_b
+        ba, bb, ca, cb = sweep.root
         for depth, j in enumerate(row, start=1):
             f = sys.maps[int(j) - 1]
             ba, bb = box_image(f, ba), box_image(f, bb)
             ca, cb = map_points(f, ca), map_points(f, cb)
-            visit(depth, ba, bb, ca, cb, tuple(int(v) for v in row[:depth]))
-    return cert, violation
+            sweep.visit(depth, ba, bb, ca, cb, tuple(int(v) for v in row[:depth]))
+    return sweep.report(False, prefix_samples)
 
 
 def ref_image_diameter_curve(sys, word, n_max, cloud_size):
@@ -579,6 +611,35 @@ def ref_image_diameter_curve(sys, word, n_max, cloud_size):
         cloud = map_points(sys.maps[sym - 1], cloud)
         lower.append(float((cloud.max(axis=0) - cloud.min(axis=0)).sum()))
     return DecayCurve(word=word[:n_max], n=tuple(range(n_max + 1)), upper=upper, lower=tuple(lower))
+
+
+def ref_sync_experiment(sys, trials, n_max, seed, cloud_size):
+    """sync_experiment as the per-trial loop it was."""
+    synchronization._require_row_positive(sys)
+    curves, fits = [], []
+    for t in range(trials):
+        curve = ref_image_diameter_curve(sys, sample_word(sys.shift, n_max, seed=seed + t), n_max,
+                                         cloud_size)
+        c_hat, q_hat = fit_decay_rate(curve)
+        curves.append(curve)
+        fits.append(RateFit(trial=t, q_hat=q_hat, c_hat=c_hat))
+    return SyncResult(curves=tuple(curves), fits=tuple(fits))
+
+
+def ref_measure_contraction_experiment(sys, trials, n_max, seed):
+    """measure_contraction_experiment as the per-trial loop it was."""
+    synchronization._require_row_positive(sys)
+    rows, fits = [], []
+    for t in range(trials):
+        word = sample_word(sys.shift, n_max, seed=seed + t)
+        boxes = ref_forward_box_chain(sys, word)
+        for s in range(1, sys.dim + 1):
+            lengths = tuple(float(b.hi[s - 1]) - float(b.lo[s - 1]) for b in boxes)
+            rows += [ContractionRow(trial=t, s=s, n=n, length=v) for n, v in enumerate(lengths)]
+            curve = DecayCurve(word=word, n=tuple(range(len(lengths))), upper=lengths, lower=lengths)
+            c_hat, q_hat = fit_decay_rate(curve)
+            fits.append(ContractionFit(trial=t, s=s, q_hat=q_hat, c_hat=c_hat))
+    return ContractionResult(rows=tuple(rows), fits=tuple(fits))
 
 
 def ref_batch_reverse_points(sys, words, anchor):
@@ -657,7 +718,6 @@ def check_scalar_compositions(sys, seed):
         for box in (None, inner_box(sys.ambient)):
             assert_bit_equal(forward_box_chain(sys, word, box), ref_forward_box_chain(sys, word, box))
             assert_bit_equal(reverse_box(sys, word, box), ref_reverse_box(sys, word, box))
-            assert_bit_equal(reverse_box_chain(sys, word, box), ref_reverse_box_chain(sys, word, box))
 
 
 def check_oracle_chains(sys, exact):
@@ -680,17 +740,9 @@ HORIZON_PAIRS = [((1, 1), (2, 1)), ((1, 2), (2, 2)), ((2, 1), (1, 2, 1))]
 
 def check_clouds(sys, seed):
     for (word_a, word_b), n_max in product(HORIZON_PAIRS, (0, 1, 5)):
-        report = verify_split_horizon(sys, word_a, word_b, n_max, prefix_samples=30, cloud_size=9,
-                                      seed=seed)
-        cert, violation = ref_sampled_horizon(sys, word_a, word_b, n_max, 30, 9, seed)
-        per_n = tuple(
-            "violated" if violation is not None and violation[0] == d
-            else "certified" if ok else "not-falsified"
-            for d, ok in enumerate(cert)
-        )
-        assert_bit_equal(report.per_n, per_n)
-        assert_bit_equal(report.violation, violation)
-        assert report.certified_to == len(list(takewhile(bool, cert))) - 1
+        assert_bit_equal(verify_split_horizon(sys, word_a, word_b, n_max, prefix_samples=30,
+                                              cloud_size=9, seed=seed),
+                         ref_sampled_horizon(sys, word_a, word_b, n_max, 30, 9, seed))
     word = tuple(int(a) for a in np.random.default_rng(seed).integers(1, sys.k + 1, size=12))
     for n_max in (0, 3, 12):
         assert_bit_equal(image_diameter_curve(sys, word, n_max, 17),
@@ -752,6 +804,77 @@ def test_batch_loop_skips_symbols_absent_from_a_column():
     words = np.array([[1, 2, 3], [1, 1, 1], [1, 2, 2], [1, 1, 3]])
     check_batches(sys, words)
     check_batches(sys, words[:1])
+
+
+# --- horizon walk and decay curves ---------------------------------------------
+# The frontier walk maps BLOCK_POINTS cloud points at a time; with 4096-point
+# clouds the last frontier of a depth-4 walk, 30 samples and 20 sync trials
+# each span several blocks; BLOCK_POINTS = 1 puts every row in a block of
+# its own, and 2 * 9 * 3 three rows of 9-point clouds, splitting the
+# children of one row across blocks.
+
+BIG_CLOUD = 4096
+
+
+def outcome(fn, *args, **kwargs):
+    """What fn returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except MarkovProdError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("block_points", [None, 1, 2 * 9 * 3],
+                         ids=["shipped-blocks", "one-row-blocks", "three-row-blocks"])
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+def test_horizon_walk_matches_the_node_by_node_walks(factory, block_points, monkeypatch):
+    if block_points is not None:
+        monkeypatch.setattr(splitting, "BLOCK_POINTS", block_points)
+    sys = factory()
+    for (word_a, word_b), n_max in product(HORIZON_PAIRS, (0, 1, 2, 5)):
+        assert_bit_equal(verify_split_horizon(sys, word_a, word_b, n_max, cloud_size=9),
+                         ref_exhaustive_horizon(sys, word_a, word_b, n_max, 9))
+        assert_bit_equal(verify_split_horizon(sys, word_a, word_b, n_max, prefix_samples=30,
+                                              cloud_size=9, seed=5),
+                         ref_sampled_horizon(sys, word_a, word_b, n_max, 30, 9, 5))
+
+
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+def test_horizon_walk_matches_across_blocks(factory):
+    sys = factory()
+    assert min(sys.k**4, 30) * 2 * BIG_CLOUD > splitting.BLOCK_POINTS
+    for word_a, word_b in HORIZON_PAIRS:
+        assert_bit_equal(verify_split_horizon(sys, word_a, word_b, 4, cloud_size=BIG_CLOUD),
+                         ref_exhaustive_horizon(sys, word_a, word_b, 4, BIG_CLOUD))
+        assert_bit_equal(verify_split_horizon(sys, word_a, word_b, 4, prefix_samples=30,
+                                              cloud_size=BIG_CLOUD, seed=1),
+                         ref_sampled_horizon(sys, word_a, word_b, 4, 30, BIG_CLOUD, 1))
+
+
+@pytest.mark.parametrize("prefix_samples, rows", [(None, 2 + 4 + 8 + 16), (30, 4 * 30)])
+def test_horizon_walk_maps_every_prefix_once(monkeypatch, prefix_samples, rows):
+    mapped = []
+
+    def counting(sys, symbols, arrays):
+        mapped.append(len(symbols))
+        return advance_rows(sys, symbols, arrays)
+
+    monkeypatch.setattr(splitting, "advance_rows", counting)
+    verify_split_horizon(moebius_pair(), (1, 1), (2, 1), 4, prefix_samples=prefix_samples,
+                         cloud_size=BIG_CLOUD)
+    assert sum(mapped) == rows
+    assert len(mapped) > 4
+
+
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+def test_decay_curves_match_the_per_trial_loops(factory):
+    sys = factory()
+    assert 20 * BIG_CLOUD > splitting.BLOCK_POINTS
+    for trials, n_max, cloud_size in ((3, 8, 17), (20, 6, BIG_CLOUD)):
+        assert_bit_equal(outcome(sync_experiment, sys, trials, n_max, seed=4, cloud_size=cloud_size),
+                         outcome(ref_sync_experiment, sys, trials, n_max, 4, cloud_size))
+    assert_bit_equal(outcome(measure_contraction_experiment, sys, 6, 9, seed=4),
+                     outcome(ref_measure_contraction_experiment, sys, 6, 9, 4))
 
 
 # --- image kernels ------------------------------------------------------------

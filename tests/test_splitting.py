@@ -1,6 +1,7 @@
 """Split certificates, horizon sweeps, witness search, normalization."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -51,6 +52,16 @@ def folded_pair() -> MapSystem:
     return MapSystem(
         shift=build_shift(IID),
         maps=(AffineMap(((0.5,),), (0.0,)), AffineMap(((-0.5,),), (1.0,))),
+        ambient=UNIT,
+    )
+
+
+def squeeze() -> MapSystem:
+    # f1 = x/3 and f2 = 0.5 + 1e-9 (x - 0.5): f2 squeezes the unit interval
+    # onto a sliver around 1/2, so two witness images it maps overlap.
+    return MapSystem(
+        shift=build_shift(IID),
+        maps=(AffineMap(((1.0 / 3.0,),), (0.0,)), AffineMap(((1e-9,),), (0.5 - 0.5e-9,))),
         ambient=UNIT,
     )
 
@@ -137,12 +148,55 @@ def test_horizon_equal_words_violated_at_zero():
     assert report.per_n[0] == "violated"
 
 
+@pytest.mark.parametrize("prefix_samples", [None, 0, 5])
+def test_horizon_root_violation_in_both_walks(prefix_samples):
+    # With no samples the sampled walk still checks the root.
+    report = verify_split_horizon(cantor_iid(), (1, 1), (1, 1), 3, prefix_samples=prefix_samples)
+    assert report.violation == (0, 1, ())
+    assert report.per_n[0] == "violated"
+
+
 def test_horizon_folded_touching_violated():
     # Image intervals [0, 1/4] and [1/4, 1/2] share the point 1/4, which the
     # corner-seeded cloud attains exactly on both sides.
     report = verify_split_horizon(folded_pair(), (1, 1), (2, 1), 3)
     assert report.verdict == "violated"
     assert report.violation == (0, 1, ())
+
+
+def test_horizon_reports_the_first_violation_in_preorder():
+    # (2, 2) overlaps at depth 2, but (1, 2, 2) overlaps at depth 3 and comes
+    # first in preorder: a prefix sorts before its extensions, and (1, ...)
+    # before (2, ...).  Depth 2 is then not certified and not the violation.
+    report = verify_split_horizon(squeeze(), (1, 1), (2, 1), 3)
+    assert report.violation == (3, 1, (1, 2, 2))
+    assert report.per_n == ("certified", "certified", "not-falsified", "violated")
+    assert report.certified_to == 1
+
+
+def test_horizon_sampled_reports_the_first_violating_sample():
+    report = verify_split_horizon(squeeze(), (1, 1), (2, 1), 3, prefix_samples=7, seed=5)
+    assert report.violation == (2, 1, (2, 2))
+    assert report.per_n == ("certified", "certified", "violated", "not-falsified")
+
+
+def traced_peak(**kwargs) -> int:
+    tracemalloc.start()
+    try:
+        verify_split_horizon(moebius_pair(), (1, 1), (2, 1), **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_horizon_sampled_walk_memory_is_capped():
+    # The samples are drawn and walked a block at a time, and a block is
+    # dropped once its children are out, so memory grows neither with the
+    # number of samples (the whole symbol table would add 7.5 MiB here) nor
+    # with the depth (one block per depth would add about 44 MiB).
+    few, many = (traced_peak(n_max=20, prefix_samples=s, cloud_size=2) for s in (16_384, 65_536))
+    assert many < few + 2 * 2**20
+    assert traced_peak(n_max=200, prefix_samples=2000, cloud_size=4) < 6 * 2**20
 
 
 def test_horizon_sampled_mode():

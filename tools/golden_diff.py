@@ -12,7 +12,8 @@ tree, and for each seed in `SEEDS`, the tool runs `python -m markovprod.cli`:
 - every benchmark workload of `perfbench/run.py` (`WORKLOADS`), with the
   config file that `workload_config` gives for it;
 - the `EXTRA_RUNS`, which cover code paths that neither of the above
-  reaches: the float oracle and the sampled-prefix horizon walk.
+  reaches: the float oracle, the sampled-prefix horizon walk, and an
+  exhaustive horizon walk in 2-D whose frontier spans many blocks.
 
 Both trees run the same workload and extra config files, written once from
 this checkout; an invocation that repeats a shipped-config run of the tree
@@ -41,13 +42,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
 
-# Every shipped oracle block sets `exact: true` and none sets
-# `prefix_samples`, so these runs are the only ones to byte-compare the
-# float oracle and the sampled horizon walk.  Each entry is (label,
-# subcommand, shipped config, block -> keys replaced in that block).
+# Every shipped oracle block sets `exact: true`, none sets
+# `prefix_samples`, and the shipped 2-D horizon (10) spans only a few
+# blocks of the walk (`splitting.BLOCK_POINTS`) at its last depth, so these
+# runs are the only ones to byte-compare the float oracle, the sampled
+# horizon walk and a 2-D exhaustive walk over 16 times as many blocks.
+# Each entry is (label, subcommand, shipped config, block -> keys replaced
+# in that block).
 EXTRA_RUNS = (
     ("oracle-float-cantor_markov", "oracle", "cantor_markov.json", {"oracle": {"exact": False}}),
     ("split-sampled-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"prefix_samples": 500}}),
+    ("split-exhaustive-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"horizon": 14}}),
 )
 
 
