@@ -1,14 +1,12 @@
-"""Exact cylinder enumeration for the inverse Markov measure.
+"""Exact cylinder measures for the inverse Markov measure.
 
-Ground truth for the probabilistic experiments.  Enumerates every word of a
-bounded length once, depth-first with incremental measure products, and
-computes:
+Ground truth for the probabilistic experiments:
 
 - membership_measure: total inverse measure of the words w of length n whose
   chained image enclosure of f_{w_0} o ... o f_{w_{n-1}} (ambient) contains a
-  given value x in projection s
+  given value x in projection s, by a depth-first word enumeration
 - avoidance_measure: total inverse measure of the words of length ell*N with
-  no N-block equal to a given word
+  no N-block equal to a given word, by a transfer-matrix recursion over N-blocks
 - substitute_blocks: blockwise word substitution
 - verify_bounds: for a normalized witness pair, the membership-vs-avoidance
   inequality on a grid of x values, injectivity and per-word measure growth
@@ -24,6 +22,7 @@ m >= 2 the chained enclosure is an upper bound and rows are flagged accordingly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,15 +94,9 @@ class _Tables:
 
 
 def _tables(shift: MarkovShiftSpec, exact: bool) -> _Tables:
-    if exact:
-        conv = Fraction
-        one = Fraction(1)
-    else:
-        conv = float
-        one = 1.0
-    p = tuple(conv(v) for v in shift.p)
+    conv = Fraction if exact else float
     q = tuple(tuple(conv(v) for v in row) for row in shift.Q)
-    return _Tables(p=p, q=q, one=one)
+    return _Tables(p=tuple(conv(v) for v in shift.p), q=q, one=conv(1))
 
 
 def _exact_map(f: Map) -> Map:
@@ -131,10 +124,12 @@ def inverse_word_measure(tables: _Tables, word: Word):
     """Inverse cylinder measure from precomputed scalar tables."""
     if not word:
         return tables.one
-    acc = tables.p[word[0] - 1]
-    for a, b in zip(word, word[1:]):
-        acc = acc * tables.q[a - 1][b - 1]
-    return acc
+    return _path_product(tables.q, word, tables.p[word[0] - 1])
+
+
+def _path_product(q, word: Word, start):
+    """start * q_{W_0 W_1} * q_{W_1 W_2} * ... * q_{W_{N-2} W_{N-1}}, from the left."""
+    return math.prod((q[a - 1][b - 1] for a, b in zip(word, word[1:])), start=start)
 
 
 def _check_budget(k: int, n: int) -> None:
@@ -222,40 +217,37 @@ def avoidance_measure(
     word = check_word(word, shift.k, allow_empty=False)
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    n_block = len(word)
-    _check_budget(shift.k, ell * n_block)
     tables = _tables(shift, exact)
-    total, _ = _enumerate_avoidance(tables, shift.k, word, ell)
-    return total
+    return _avoidance(tables.p, tables.q, word, ell, tables.one)[ell]
 
 
-def _enumerate_avoidance(tables: _Tables, k: int, word: Word, ell: int):
-    n_block = len(word)
-    n = ell * n_block
-    total = tables.one * 0
-    count = 0
+def _times(v, m) -> tuple:
+    """Row vector v times matrix m."""
+    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
-    def rec(pos: int, last: int, match: bool, measure) -> None:
-        nonlocal total, count
-        if pos == n:
-            total = total + measure
-            count += 1
-            return
-        r = pos % n_block
-        closing = r == n_block - 1
-        for a in range(1, k + 1):
-            step = tables.q[last - 1][a - 1] if pos else tables.p[a - 1]
-            if step == 0:
-                continue
-            still = match and a == word[r]
-            if closing and still:
-                continue
-            rec(pos + 1, a, True if closing else still, measure * step)
 
-    if n == 0:
-        return tables.one, 1
-    rec(0, 0, True, tables.one)
-    return total, count
+def _avoidance(p, q, word: Word, ell_max: int, one) -> list:
+    """Avoidance measures for ell = 0..ell_max by a transfer matrix over
+    N-blocks: entry j of v B^(ell-1) is the measure of the avoiding words of
+    length ell*N that end in symbol j.  B[i] is row i of Q^N less the step
+    from i into the block W at column W_{N-1}; v is p Q^(N-1) less the
+    cylinder of W at the same column.  Run on the 0/1 indicators of p and Q
+    with one = 1, it counts the avoiding words whose every step is positive."""
+    interior = _path_product(q, word, one)
+    first, last = word[0] - 1, word[-1] - 1
+    heads = (p, *q)
+    ends = heads
+    for _ in word[1:]:
+        ends = [_times(row, q) for row in ends]
+    v, *b = [
+        [r - head[first] * interior if j == last else r for j, r in enumerate(row)]
+        for head, row in zip(heads, ends)
+    ]
+    out = [one]
+    for _ in range(ell_max):
+        out.append(sum(v))
+        v = _times(v, b)
+    return out
 
 
 def substitute_blocks(word: Word, block: Word, replacement: Word) -> Word:
@@ -302,18 +294,21 @@ def verify_bounds(
 ) -> OracleReport:
     """Full oracle sweep for a normalized witness pair.
 
-    For each ell <= ell_max: enumerates the avoidance measure of the
-    lower-measure word W once, then for each grid x the membership measure
-    (which the avoidance measure must dominate), the injectivity of the
-    block substitution W -> W' on the enumerated membership words, and the
-    per-word measure growth under that substitution.  Also records the
-    geometric decay bound (1 - rho0)^ell where rho0 is the minimum of the
-    measure of W and inf_j q_{jW_0} q_{W_0 W_1} ... q_{W_{N-2} W_{N-1}}.
+    For each ell <= ell_max: takes the avoidance measure of the lower-measure
+    word W from one transfer-matrix recursion over N-blocks, then enumerates
+    for each grid x the membership measure (which the avoidance measure must
+    dominate), the injectivity of the block substitution W -> W' on the
+    enumerated membership words, and the per-word measure growth under that
+    substitution.  Also records the geometric decay bound (1 - rho0)^ell
+    where rho0 is the minimum of the measure of W and
+    inf_j q_{jW_0} q_{W_0 W_1} ... q_{W_{N-2} W_{N-1}}.
 
     The word roles are swapped if needed so that W is the one of lower
     inverse measure.  Raises HypothesisViolated when either word has zero
     inverse measure, their first symbols differ, or their image boxes fail
-    the projection disjointness the substitution argument rests on.
+    the projection disjointness the substitution argument rests on, and
+    BudgetExceeded, before enumerating anything, when the words of length
+    ell_max*N exceed the enumeration budget.
     """
     if isinstance(pair, NormalizedPair):
         xi, eta = pair.xi, pair.eta
@@ -356,10 +351,7 @@ def verify_bounds(
         mu_w, mu_r = mu_xi, mu_eta
     n_block = len(word)
 
-    interior = one
-    for a, b in zip(word, word[1:]):
-        interior = interior * tables.q[a - 1][b - 1]
-    rho = min(tables.q[j][word[0] - 1] for j in range(sys.k)) * interior
+    rho = min(tables.q[j][word[0] - 1] for j in range(sys.k)) * _path_product(tables.q, word, one)
     rho0 = min(rho, mu_w)
 
     if x_grid is None:
@@ -367,10 +359,12 @@ def verify_bounds(
     xs = [Fraction(x) if exact else float(x) for x in x_grid]
     exact_enclosures = sys.dim == 1
 
+    _check_budget(sys.k, ell_max * n_block)
+    avoid = _avoidance(tables.p, tables.q, word, ell_max, one)
+    positive = [int(v != 0) for v in tables.p], [[int(v != 0) for v in r] for r in tables.q]
+    avoid_counts = _avoidance(*positive, word, ell_max, 1)
     rows: list[BoundCheck] = []
-    for ell in range(1, ell_max + 1):
-        _check_budget(sys.k, ell * n_block)
-        rhs, avoid_count = _enumerate_avoidance(tables, sys.k, word, ell)
+    for ell, rhs, avoid_count in zip(range(1, ell_max + 1), avoid[1:], avoid_counts[1:]):
         geometric_bound = (one - rho0) ** ell
         geometric_holds = rhs <= geometric_bound
         for x in xs:

@@ -243,17 +243,19 @@ def coding_point(sys: MapSystem, word: Word) -> tuple[tuple, float]:
 
 def coding_invariance(sys: MapSystem, words) -> tuple[float, float, int]:
     """Check pi(w) = f_{w_1}(pi(w_2 w_3 ...)) on each row of `words`, where pi
-    is `coding_point`, allowing the sum of the two points' bounds.  Returns
-    the largest l1 residual, the largest allowance, and the number of words
-    whose residual exceeds their allowance.  The rows run through the batch
-    compositions and each l1 sum adds coordinates from the left, so every
-    row gets the floats of its `coding_point` pair."""
+    is `coding_point`, allowing the sum of the two points' bounds.  The tail
+    point starts from the ambient corner `lo` instead of the center, so the
+    two sides are different compositions.  Returns the largest l1 residual,
+    the largest allowance, and the number of words whose residual exceeds
+    their allowance.  The rows run through the batch compositions and each
+    l1 sum adds coordinates from the left, so every row gets the floats of
+    the per-word compositions."""
     words = np.asarray(words)
     if words.ndim != 2 or words.shape[1] < 2:
         raise InadmissibleWord("coding invariance needs words of at least two symbols")
-    anchor = sys.ambient.center()
-    full = batch_reverse_points(sys, words, anchor)
-    image = batch_reverse_points(sys, words[:, :1], batch_reverse_points(sys, words[:, 1:], anchor))
+    full = batch_reverse_points(sys, words, sys.ambient.center())
+    tail = batch_reverse_points(sys, words[:, 1:], sys.ambient.lo)
+    image = batch_reverse_points(sys, words[:, :1], tail)
     residual = sum(np.abs(image[:, s] - full[:, s]) for s in range(sys.dim))
     allowance = 0
     for rows in (words, words[:, 1:]):

@@ -1,10 +1,11 @@
-"""Exact cylinder enumeration: membership/avoidance measures, block
+"""Exact cylinder measures: membership and avoidance measures, block
 substitution, and the full bound sweep.
 
 Brute-force reference implementations live in this file so every pinned
 value is checked against an independent enumeration."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,14 +65,20 @@ def brute_membership(sys, x, n) -> Fraction:
     return total
 
 
-def brute_avoidance(shift, word, ell) -> Fraction:
+def avoiding_words(shift, word, ell):
     n = len(word) * ell
-    total = Fraction(0)
     for w in itertools.product(range(1, shift.k + 1), repeat=n):
-        if any(w[i : i + len(word)] == word for i in range(0, n, len(word))):
-            continue
-        total += frac_measure(shift, w)
-    return total
+        if not any(w[i : i + len(word)] == word for i in range(0, n, len(word))):
+            yield w
+
+
+def brute_avoidance(shift, word, ell) -> Fraction:
+    return sum((frac_measure(shift, w) for w in avoiding_words(shift, word, ell)), Fraction(0))
+
+
+def brute_avoidance_count(shift, word, ell) -> int:
+    # Words whose every step (first symbol included) has positive probability.
+    return sum(1 for w in avoiding_words(shift, word, ell) if frac_measure(shift, w) > 0)
 
 
 # --- membership_measure ---------------------------------------------------
@@ -166,15 +173,32 @@ def test_avoidance_iid_block_closed_form():
     # Aligned occurrences of a length-2 block under the uniform iid chain are
     # independent across blocks: the avoidance measure is exactly (3/4)^ell.
     shift = build_shift(IID)
-    for ell in range(0, 7):
+    for ell in range(0, 51):
         assert avoidance_measure(shift, (1, 1), ell, exact=True) == Fraction(3, 4) ** ell
 
 
 def test_avoidance_markov_pinned_value():
+    # float() of the exact value at ell = 10.
     shift = cantor_markov().shift
     assert avoidance_measure(shift, (1, 2), 10) == pytest.approx(
-        0.4698436603962082, abs=1e-15
+        0.4698436603962219, abs=1e-15
     )
+
+
+def test_avoidance_float_tracks_exact_to_rounding():
+    shift = cantor_markov().shift
+    for ell in range(1, 11):
+        exact = float(avoidance_measure(shift, (1, 2), ell, exact=True))
+        assert abs(avoidance_measure(shift, (1, 2), ell) - exact) <= 4e-16 * exact
+
+
+def test_avoidance_long_words_exact_and_fast():
+    # ell = 50 means 2^100 words of length 100; none is enumerated.
+    shift = cantor_markov().shift
+    start = time.perf_counter()
+    got = avoidance_measure(shift, (1, 2), 50, exact=True)
+    assert time.perf_counter() - start < 1.0
+    assert 0 < got < avoidance_measure(shift, (1, 2), 10, exact=True)
 
 
 def test_avoidance_matches_brute_force():
@@ -192,12 +216,6 @@ def test_avoidance_nonincreasing_in_ell():
         cur = avoidance_measure(shift, (1, 2), ell, exact=True)
         assert cur <= prev
         prev = cur
-
-
-def test_avoidance_budget_guard():
-    shift = build_shift(IID)
-    with pytest.raises(BudgetExceeded):
-        avoidance_measure(shift, (1, 2), 13)
 
 
 # --- substitute_blocks ----------------------------------------------------
@@ -294,6 +312,31 @@ def test_verify_bounds_membership_dominated_by_avoidance_brute_force():
     for row in report.rows:
         assert row.lhs == brute_membership(sys, row.x, row.ell * 2)
         assert row.rhs == brute_avoidance(sys.shift, report.word, row.ell)
+
+
+def test_verify_bounds_avoidance_words_match_brute_count():
+    # Under the chain with the zero transition 2 -> 2 the count leaves out
+    # every word that steps from 2 to 2; under the other two it is 3^ell.
+    zero_step = MapSystem(
+        shift=build_shift([[0.5, 0.5], [1.0, 0.0]]), maps=cantor_maps(), ambient=UNIT
+    )
+    for sys in (cantor_iid(), cantor_markov(), zero_step):
+        report = verify_bounds(sys, ((1, 1), (1, 2)), ell_max=4, x_grid=(0.0,), exact=True)
+        for row in report.rows:
+            assert row.avoidance_words == brute_avoidance_count(sys.shift, report.word, row.ell)
+            assert row.enumerated == 2 ** (2 * row.ell)
+
+
+def test_verify_bounds_refuses_over_budget_ell_max_before_enumerating(monkeypatch):
+    from markovprod import oracle
+
+    def enumerate_membership(*args, **kwargs):
+        raise AssertionError("membership enumerated before the budget check")
+
+    monkeypatch.setattr(oracle, "_enumerate_membership", enumerate_membership)
+    sys = cantor_iid()
+    with pytest.raises(BudgetExceeded, match=r"2\^26 words"):
+        verify_bounds(sys, normalized_pair_for(sys), ell_max=13)
 
 
 def test_verify_bounds_rejects_mismatched_first_symbols():

@@ -4,8 +4,12 @@ with plain references.
 The references below are the straightforward per-step and per-call
 implementations that the library's chunked orbit, memoized measures, single
 composition primitive (`maps.orbit`, plus one masked batch loop), batched
-horizon walk and batched decay curves replace.  Every comparison is `==` on floats (plus `repr`, which also tells
-0.0 from -0.0): the new code must compute the same doubles, not close ones.
+horizon walk and batched decay curves replace.  Every comparison is `==` on
+floats (plus `repr`, which also tells 0.0 from -0.0): the new code must
+compute the same doubles, not close ones.  The one exception is the oracle's
+avoidance measure: its transfer-matrix recursion sums in another order than
+the word enumeration it replaces, so it equals the enumeration exactly in
+Fraction mode and to 1e-12 relative on floats.
 """
 
 from __future__ import annotations
@@ -529,6 +533,37 @@ def ref_enumerate_membership(maps, ambient, tables, x, s, n):
     return total, count, words
 
 
+def ref_enumerate_avoidance(tables, k, word, ell):
+    """Measure and count of the avoiding words by enumerating every word
+    whose steps are all positive, depth first."""
+    n_block = len(word)
+    n = ell * n_block
+    total = tables.one * 0
+    count = 0
+
+    def rec(pos, last, match, measure):
+        nonlocal total, count
+        if pos == n:
+            total = total + measure
+            count += 1
+            return
+        r = pos % n_block
+        closing = r == n_block - 1
+        for a in range(1, k + 1):
+            step = tables.q[last - 1][a - 1] if pos else tables.p[a - 1]
+            if step == 0:
+                continue
+            still = match and a == word[r]
+            if closing and still:
+                continue
+            rec(pos + 1, a, True if closing else still, measure * step)
+
+    if n == 0:
+        return tables.one, 1
+    rec(0, 0, True, tables.one)
+    return total, count
+
+
 class RefSweep:
     """The node checks of the horizon walk, one node at a time: per-depth
     certification flags and the first violation in visiting order."""
@@ -1045,17 +1080,45 @@ def test_batch_rows_equal_the_scalar_kernels(f, seed):
     assert_bit_equal(new_hi.tolist(), [list(box.hi) for box in scalar])
 
 
+# --- oracle avoidance -----------------------------------------------------------
+
+
+AVOIDANCE_WORDS = [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 2)]
+
+
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+def test_avoidance_recursion_matches_the_enumeration(factory):
+    # Every ell with at most 2^16 words to enumerate: ell*N <= 16 for two
+    # symbols, ell*N <= 10 for three.
+    shift = factory().shift
+    for word, exact in product(AVOIDANCE_WORDS, (True, False)):
+        tables = oracle._tables(shift, exact)
+        ell_max = max(ell for ell in range(17) if shift.k ** (ell * len(word)) <= 1 << 16)
+        measures = oracle._avoidance(tables.p, tables.q, word, ell_max, tables.one)
+        positive = [int(v != 0) for v in tables.p], [[int(v != 0) for v in r] for r in tables.q]
+        counts = oracle._avoidance(*positive, word, ell_max, 1)
+        for ell in range(ell_max + 1):
+            ref_measure, ref_count = ref_enumerate_avoidance(tables, shift.k, word, ell)
+            assert counts[ell] == ref_count
+            if exact:
+                assert measures[ell] == ref_measure
+            else:
+                assert abs(measures[ell] - ref_measure) <= 1e-12 * ref_measure
+
+
 # --- coding invariance ----------------------------------------------------------
 
 
 def ref_coding_invariance(sys, words):
-    """The per-row loop that the batch compositions replace."""
+    """The per-row loop that the batch compositions replace; the tail point
+    starts from the ambient corner lo."""
     max_residual = max_allowance = 0.0
     violations = 0
     for row in words:
         word = tuple(int(a) for a in row)
         full, bound_full = coding_point(sys, word)
-        shifted, bound_shifted = coding_point(sys, word[1:])
+        _, bound_shifted = coding_point(sys, word[1:])
+        shifted = reverse_composition(sys, word[1:], sys.ambient.lo)
         image = evaluate_map(sys.map_for(word[0]), shifted)
         residual = float(sum(abs(a - b) for a, b in zip(image, full)))
         allowance = bound_full + bound_shifted

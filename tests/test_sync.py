@@ -33,6 +33,7 @@ from markovprod import (
     weak_hyperbolicity_experiment,
 )
 from markovprod.shift import sample_words
+from markovprod.synchronization import coding_invariance
 from markovprod.synchronization import test_function as observable
 
 THIRD = 1.0 / 3.0
@@ -271,6 +272,17 @@ def test_coding_invariance_residual_below_bound():
         residual = abs(image[0] - full[0])
         assert residual <= bound + 1e-15
         assert residual <= 1e-12
+
+
+def test_coding_invariance_residual_is_a_real_difference():
+    # The tail point starts from the ambient corner lo and the full point
+    # from the center, so the residual does not repeat the same floats; it
+    # stays within the summed enclosure diameters.
+    sys = cantor_iid()
+    words = sample_words(sys.shift, 1000, 41, inverse=True, seed=23)
+    max_residual, max_allowance, violations = coding_invariance(sys, words)
+    assert 0.0 < max_residual <= max_allowance
+    assert violations == 0
 
 
 # --- ergodic_average --------------------------------------------------------
