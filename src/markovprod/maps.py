@@ -7,8 +7,8 @@ Provides:
 - AffineMap x -> A x + b and MoebiusMap x -> (a x + b) / (c x + d) (1-D)
 - point evaluation, and `orbit`, the one loop applying a word's maps in
   turn: forward orbits f_{w_n} o ... o f_{w_1} pass the word, coding-order
-  compositions f_{w_1} o ... o f_{w_n} its reverse; batched in one loop
-  too, which `advance_rows` runs one symbol column at a time
+  compositions f_{w_1} o ... o f_{w_n} its reverse; batched by gathering
+  each map's coefficients by symbol, one symbol column at a time
 - monotone sign classification of a system: the common pattern
   t in {+,-}^m such that coordinate function j of every map follows t
   when t_j = t_1 and the flipped pattern otherwise, with zero partial
@@ -16,14 +16,14 @@ Provides:
 
 Every image comes from one of two kernels, `_point_image` and `_box_image`,
 in plain Python arithmetic.  A coordinate value is a float, a
-fractions.Fraction, or (batch helpers) a 1-D float array holding that
-coordinate for many rows; each row then gets the bits of the scalar
-evaluation, since every step is the same IEEE operation in the same order.
+fractions.Fraction, or (batch helpers) a float array holding that coordinate
+for many rows, and then a coefficient may be one per row too; each row gets
+the bits of the scalar evaluation: every step is the same IEEE operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import product
 
 import numpy as np
@@ -41,6 +41,10 @@ MINUS = "-"
 ZERO = "0"
 
 _FLIP = {PLUS: MINUS, MINUS: PLUS}
+
+# Rows in one block of a batched composition, and cloud points in one of the
+# horizon walk (both witness images) or of the sync trials: caps their memory.
+BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,7 @@ def _box_image(f: Map, lo, hi) -> tuple[tuple, tuple]:
             acc_lo = acc_hi = b
             for a, u, v in zip(row, lo, hi):
                 t0, t1 = _ordered(a * u, a * v)
-                acc_lo += t0
-                acc_hi += t1
+                acc_lo, acc_hi = acc_lo + t0, acc_hi + t1  # not +=: b may be a gathered array
             new_lo.append(acc_lo)
             new_hi.append(acc_hi)
         return tuple(new_lo), tuple(new_hi)
@@ -352,23 +355,36 @@ def reverse_box(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> I
     return orbit(box_image, sys.maps, reversed(word), sys.ambient if box is None else box)[-1]
 
 
-def _masked_reverse(sys: MapSystem, words, step, arrays: list) -> list:
-    """Send each row of `arrays` through its word's maps, last symbol first:
-    per depth and symbol j, `step(f_j, *rows)` returns one array per entry
-    of `arrays`, which are updated in place and returned.  A symbol outside
-    1..k raises InadmissibleWord; checking costs one min and one max."""
+def _reverse_rows(sys: MapSystem, words, arrays: list, boxed: bool) -> list:
+    """Send row i of each array in `arrays` (shape (rows, ..., m); box corners
+    lo, hi first when `boxed`, then point clouds) through word i's maps, last
+    symbol first, in place, `BLOCK_POINTS` rows at a time: per depth, the maps'
+    coefficients gathered by the symbol column form one map per kind for the
+    image kernels.  A symbol outside 1..k raises InadmissibleWord."""
     words = np.asarray(words)
     low, high = (words.min(), words.max()) if words.size else (1, 1)
     if low < 1 or high > sys.k:
         raise InadmissibleWord(f"symbol {low if low < 1 else high} outside 1..{sys.k}")
-    for t in range(words.shape[1] - 1, -1, -1):
-        col = words[:, t]
-        for j in range(1, sys.k + 1):
-            mask = col == j
-            if mask.any():
-                images = step(sys.maps[j - 1], *(a[mask] for a in arrays))
+    kinds = np.array([f.kind for f in sys.maps])
+    stacks = {  # kind -> class, per-field coefficients of all k maps, symbols last (stand-ins elsewhere)
+        f.kind: (type(f), [np.moveaxis(np.array(v, dtype=float), 0, -1)
+                           for v in zip(*(astuple(g if g.kind == f.kind else f) for g in sys.maps))])
+        for f in sys.maps[::-1]
+    }
+    for start in range(0, words.shape[0], BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        for t in range(words.shape[1] - 1, -1, -1):
+            for kind, (cls, tables) in stacks.items():
+                rows = block if len(stacks) == 1 else start + np.flatnonzero(kinds[words[block, t] - 1] == kind)
+                symbols = words[rows, t] - 1
+                coefs = [v.take(symbols, axis=-1) for v in tables]
+                parts = [a[rows] for a in arrays]  # and one map per part, broadcast over its rows
+                maps = [cls(*(c.reshape(c.shape + (1,) * (a.ndim - 2)) for c in coefs)) for a in parts]
+                xs = [tuple(np.moveaxis(a, -1, 0)) for a in parts]
+                images = [*_box_image(maps[0], xs[0], xs[1])] if boxed else []
+                images += [_point_image(f, x) for f, x in zip(maps[len(images) :], xs[len(images) :])]
                 for a, image in zip(arrays, images):
-                    a[mask] = image
+                    a[rows] = np.stack(image, axis=-1)
     return arrays
 
 
@@ -376,13 +392,7 @@ def advance_rows(sys: MapSystem, symbols, arrays: list) -> list:
     """One forward step for many rows at once: row i of the boxes [lo, hi]
     and of the point clouds in `arrays` = [lo, hi, *clouds], all of shape
     (rows, ..., m), goes through f_{symbols[i]}, in place."""
-
-    def step(f, lo, hi, *clouds):
-        flat = [*map_boxes(f, lo.reshape(-1, f.dim), hi.reshape(-1, f.dim))]
-        flat += [map_points(f, c.reshape(-1, f.dim)) for c in clouds]
-        return [image.reshape(a.shape) for image, a in zip(flat, (lo, hi, *clouds))]
-
-    return _masked_reverse(sys, np.asarray(symbols)[:, None], step, arrays)
+    return _reverse_rows(sys, np.asarray(symbols)[:, None], arrays, boxed=True)
 
 
 def batch_reverse_points(sys: MapSystem, words: np.ndarray, anchor) -> np.ndarray:
@@ -391,7 +401,7 @@ def batch_reverse_points(sys: MapSystem, words: np.ndarray, anchor) -> np.ndarra
     point per word, shape (n, m); the result is (n, m)."""
     n = np.asarray(words).shape[0]
     pts = np.array(np.broadcast_to(np.asarray(anchor, dtype=float), (n, sys.dim)))
-    return _masked_reverse(sys, words, lambda f, p: (map_points(f, p),), [pts])[0]
+    return _reverse_rows(sys, words, [pts], boxed=False)[0]
 
 
 def batch_reverse_boxes(sys: MapSystem, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,4 +410,4 @@ def batch_reverse_boxes(sys: MapSystem, words: np.ndarray) -> tuple[np.ndarray, 
     n = np.asarray(words).shape[0]
     lo = np.tile(np.asarray(sys.ambient.lo, dtype=float), (n, 1))
     hi = np.tile(np.asarray(sys.ambient.hi, dtype=float), (n, 1))
-    return tuple(_masked_reverse(sys, words, map_boxes, [lo, hi]))
+    return tuple(_reverse_rows(sys, words, [lo, hi], boxed=True))

@@ -14,11 +14,11 @@ it detects mass misallocation and marginal displacement, which is what the
 stability statement needs at finite resolution, but it is strictly weaker
 than testing all continuous observables.
 
-A measure's arrays are read-only once built, and its per-state masses (exact
-fsums) and its sections (for each state and coordinate, the stably sorted
-values and the cumulative normalized weights) are computed on first use
-and memoized on the measure.  A stability run therefore sorts its fixed
-target once, and each step's measure is summed once, however many
+A measure's arrays are read-only once built, and its per-state masses
+(block-exact sums) and its sections (for each state and coordinate, the
+stably sorted values and the cumulative normalized weights) are computed on
+first use and memoized on the measure.  A stability run therefore sorts its
+fixed target once, and each step's measure is summed once, however many
 distances and mass gaps read it; the values are those of a fresh
 computation, bit for bit.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,12 +45,14 @@ class StateTaggedMeasure:
 
     Derived quantities are memoized on first use, so the arrays are made
     read-only on construction: writing to them raises instead of leaving
-    the memoized values stale."""
+    the memoized values stale.  `blocks`, when recorded, lists per state the
+    (count, weight) blocks of its particles, which sit in state order."""
 
     states: np.ndarray
     points: np.ndarray
     weights: np.ndarray
     k: int
+    blocks: tuple | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -64,15 +67,24 @@ class StateTaggedMeasure:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    def _members(self, j: int):
+        """Index of state j's (0-based) particles: their run if blocks are recorded, else a mask."""
+        key = ("members", j)
+        if key not in self._memo:
+            sizes = None if self.blocks is None else [sum(c for c, _ in b) for b in self.blocks[: j + 1]]
+            self._memo[key] = self.states == j + 1 if sizes is None else slice(sum(sizes[:-1]), sum(sizes))
+        return self._memo[key]
+
     def state_mass(self) -> np.ndarray:
         masses = self._memo.get("mass")
         if masses is None:
-            # fsum keeps the per-state totals exact to the last ulp, so the
-            # mass-evolution identity survives any particle count.  It sees
-            # the same doubles in a list as in the array, only faster.
-            masses = np.array(
-                [math.fsum(self.weights[self.states == j + 1].tolist()) for j in range(self.k)]
-            )
+            # The correctly rounded exact sum keeps the mass-evolution identity
+            # at any particle count; fsum gives the same double as the blocks.
+            masses = np.array([
+                math.fsum(self.weights[self._members(j)].tolist()) if self.blocks is None
+                else float(sum(count * Fraction(w) for count, w in self.blocks[j]))
+                for j in range(self.k)
+            ])
             self._memo["mass"] = masses
         return masses.copy()
 
@@ -82,7 +94,7 @@ class StateTaggedMeasure:
         key = ("sections", j)
         found = self._memo.get(key)
         if found is None:
-            sel = self.states == j + 1
+            sel = self._members(j)
             w = self.weights[sel] / self.state_mass()[j]
             pts = self.points[sel]
             found = tuple(_section(pts[:, s], w) for s in range(self.dim))
@@ -146,7 +158,8 @@ def build_initial(
 def apply_operator(mu: StateTaggedMeasure, sys: MapSystem) -> StateTaggedMeasure:
     """One transfer step: particle (i, x, w) spawns (j, f_j(x), w p_ij) for
     every j with p_ij > 0.  Children are emitted in j-blocks, so the output
-    ordering is deterministic."""
+    ordering is deterministic, and a child's weight block is its parent's
+    times p_ij, so blocks recorded on mu carry over."""
     P = sys.shift.P
     states_out = []
     points_out = []
@@ -164,6 +177,10 @@ def apply_operator(mu: StateTaggedMeasure, sys: MapSystem) -> StateTaggedMeasure
         points=np.concatenate(points_out),
         weights=np.concatenate(weights_out),
         k=mu.k,
+        blocks=None if mu.blocks is None else tuple(
+            tuple((count, float(w * P[i, j])) for i, b in enumerate(mu.blocks) if P[i, j] > 0.0 for count, w in b)
+            for j in range(sys.k)
+        ),
     )
 
 
@@ -217,13 +234,13 @@ def resample(
         n_j = int(slots[j - 1])
         if n_j == 0:
             continue
-        sel = mu.states == j
+        sel = mu._members(j - 1)
         w = mu.weights[sel]
         pts = mu.points[sel]
         cum = np.cumsum(w)
         # cum[-1] carries sequential-summation drift of order n*eps; the
         # emitted masses must not inherit it, so the stratum mass is the
-        # exact fsum from state_mass and the cumsum serves only to place
+        # exact sum from state_mass and the cumsum serves only to place
         # the selections.
         mass = float(masses[j - 1])
         offsets = (rng.random() + np.arange(n_j)) / n_j * min(mass, float(cum[-1]))
@@ -236,6 +253,7 @@ def resample(
         points=np.concatenate(points_out),
         weights=np.concatenate(weights_out),
         k=mu.k,
+        blocks=tuple(((n, m / n),) if n else () for n, m in zip(slots.tolist(), masses.tolist())),
     )
 
 
@@ -310,16 +328,28 @@ def _section(x, w) -> tuple[np.ndarray, np.ndarray]:
 
 def _transport(sec1, sec2) -> float:
     """Transport distance of two prepared sections: the integral of the
-    quantile gap over the merged breakpoint grid."""
+    quantile gap over the merged breakpoint grid, which one stable merge of
+    the sorted breakpoints gives, with both sides' quantile indices."""
     x1, c1 = sec1
     x2, c2 = sec2
-    grid = np.union1d(c1, c2)
-    grid = grid[grid <= min(c1[-1], c2[-1]) + 1e-15]
-    prev = np.concatenate(([0.0], grid[:-1]))
-    du = grid - prev
-    mid = (grid + prev) / 2.0
-    q1 = x1[np.minimum(np.searchsorted(c1, mid, side="left"), x1.shape[0] - 1)]
-    q2 = x2[np.minimum(np.searchsorted(c2, mid, side="left"), x2.shape[0] - 1)]
+    n1 = c1.shape[0]
+    both = np.concatenate((c1, c2))
+    order = np.argsort(both, kind="stable")  # timsort: one merge of two sorted runs
+    merged = both[order]
+    merged = merged[: np.searchsorted(merged, min(c1[-1], c2[-1]) + 1e-15, side="right")]
+    starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+    grid = merged[starts]
+    du = np.diff(grid, prepend=0.0)
+    # On cell m a side's quantile index counts its breakpoints below grid[m],
+    # or below grid[m - 1] where the cell's midpoint rounds down onto it.  At
+    # merged position k, c1[o] (o = order[k]) has o, and c2[o - n1] k - o + n1.
+    pick = np.arange(grid.shape[0])
+    pick[1:] -= (grid[1:] + grid[:-1]) / 2.0 == grid[:-1]
+    at = starts[pick]
+    o = order[at]
+    below1 = np.where(o < n1, o, at - o + n1)
+    q1 = x1[np.minimum(below1, n1 - 1)]
+    q2 = x2[np.minimum(at - below1, x2.shape[0] - 1)]
     return float(np.sum(np.abs(q1 - q2) * du))
 
 

@@ -36,6 +36,7 @@ from .errors import (
     NotPrimitive,
 )
 from .maps import (
+    BLOCK_POINTS,
     MINUS,
     PLUS,
     IntervalBox,
@@ -53,9 +54,6 @@ from .shift import PRIMITIVE, Word, check_word, is_admissible
 
 SEARCH_BUDGET = 1 << 22
 HORIZON_BUDGET = 1 << 20
-# Cloud points mapped in one block of the horizon walk (both witness images
-# together) or of the sync trials; this caps the memory both use.
-BLOCK_POINTS = 1 << 15
 
 MONOTONE_ORDER = "monotone-order"
 INJECTIVE_1D = "injective-1d"

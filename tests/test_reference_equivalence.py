@@ -2,9 +2,11 @@
 with plain references.
 
 The references below are the straightforward per-step and per-call
-implementations that the library's chunked orbit, memoized measures, single
-composition primitive (`maps.orbit`, plus one masked batch loop), batched
-horizon walk and batched decay curves replace.  Every comparison is `==` on
+implementations that the library's chunked orbit, memoized measures with
+their recorded state blocks, merged transport grid, single composition
+primitive (`maps.orbit`, plus one batch loop that gathers the maps'
+coefficients by symbol), batched horizon walk and batched decay curves
+replace.  Every comparison is `==` on
 floats (plus `repr`, which also tells 0.0 from -0.0): the new code must
 compute the same doubles, not close ones.  The one exception is the oracle's
 avoidance measure: its transfer-matrix recursion sums in another order than
@@ -19,6 +21,7 @@ from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
 from itertools import product, takewhile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,7 +51,7 @@ from markovprod import (
     wasserstein_1d,
     weak_star_distance,
 )
-from markovprod import oracle, splitting, synchronization
+from markovprod import maps, oracle, splitting, synchronization
 from markovprod.maps import (
     advance_rows,
     batch_reverse_boxes,
@@ -67,6 +70,8 @@ from markovprod.markov_operator import (
     StabilityRow,
     StateTaggedMeasure,
     _allocate_slots,
+    _section,
+    _transport,
 )
 from markovprod.splitting import HorizonReport, ambient_cloud, verify_split_horizon
 from markovprod.synchronization import (
@@ -185,8 +190,14 @@ def ref_wasserstein_1d(x1, w1, x2, w2):
     o2 = np.argsort(x2, kind="stable")
     x1, w1 = x1[o1], w1[o1]
     x2, w2 = x2[o2], w2[o2]
-    c1 = np.cumsum(w1)
-    c2 = np.cumsum(w2)
+    return ref_transport((x1, np.cumsum(w1)), (x2, np.cumsum(w2)))
+
+
+def ref_transport(sec1, sec2):
+    """The transport of two sections on the union1d grid, each quantile
+    index found by its own binary search."""
+    x1, c1 = sec1
+    x2, c2 = sec2
     grid = np.union1d(c1, c2)
     grid = grid[grid <= min(c1[-1], c2[-1]) + 1e-15]
     prev = np.concatenate(([0.0], grid[:-1]))
@@ -403,6 +414,96 @@ def test_state_mass_resample_and_distance_match_reference(factory):
         wasserstein_1d(x1, mu.weights, x2, nu.weights),
         ref_wasserstein_1d(x1, mu.weights, x2, nu.weights),
     )
+
+
+def ulps(x, n):
+    """x moved by n units in the last place."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+HALF, THREE_Q = 0.5, 0.75
+# Breakpoint pairs (c1, c2).  Adjacent doubles: the midpoint of 0.5 and its
+# successor rounds down onto 0.5, that of the successor and the next one up.
+TRANSPORT_CASES = {
+    "one-ulp-apart": ([0.25, HALF, ulps(HALF, 2), THREE_Q, 1.0],
+                      [ulps(0.25, 1), ulps(HALF, 1), ulps(THREE_Q, -1), ulps(THREE_Q, 1), 1.0]),
+    "shared": ([0.2, HALF, 0.8, 1.0], [0.2, 0.6, 0.8, 1.0]),
+    "shared-and-adjacent": ([HALF, ulps(HALF, 1), 1.0], [ulps(HALF, 1), ulps(HALF, 2), 1.0]),
+    "unequal-length": ([0.3, 0.9, 1.0], list(np.cumsum(np.full(50, 0.02)))),
+    "single-particle": ([1.0], [0.1, 0.35, ulps(0.35, 1), 1.0]),
+    "both-single": ([1.0], [1.0]),
+    "tail-above-the-cap": ([HALF, 1.0 - 4e-15], [0.25, 1.0 - 2e-15, 1.0]),
+    "totals-one-ulp-apart": ([HALF, 1.0], [0.4, ulps(1.0, -1)]),
+}
+
+
+@pytest.mark.parametrize("c1, c2", list(TRANSPORT_CASES.values()), ids=list(TRANSPORT_CASES))
+def test_transport_matches_the_union_grid(c1, c2):
+    c1, c2 = np.array(c1), np.array(c2)
+    x1 = np.linspace(0.1, 0.9, c1.shape[0])
+    x2 = np.linspace(0.95, 0.05, c2.shape[0]) ** 2
+    for sec1, sec2 in [((x1, c1), (x2, c2)), ((x2, c2), (x1, c1)), ((x1, c1), (x1, c1))]:
+        assert_bit_equal(_transport(sec1, sec2), ref_transport(sec1, sec2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), min_size=1, max_size=12),
+       other=st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_transport_matches_on_near_ties(steps, other, seed):
+    # Breakpoints a few ulps around four bases, so that the two sides share
+    # some, sit next to each other, and repeat within one side.
+    bases = (0.125, 0.3, HALF, 0.7)
+    c1, c2 = (np.sort([ulps(bases[b], n) for b, n in side] + [1.0]) for side in (steps, other))
+    rng = np.random.default_rng(seed)
+    secs = [(np.sort(rng.random(c.shape[0])), c) for c in (c1, c2)]
+    assert_bit_equal(_transport(*secs), ref_transport(*secs))
+
+
+def ref_sections(mu, j):
+    sel = mu.states == j + 1
+    w = mu.weights[sel] / ref_state_mass(mu)[j]
+    return [_section(mu.points[sel, s], w) for s in range(mu.dim)]
+
+
+def check_measure(mu):
+    """state_mass and the sections equal the mask and fsum references, and
+    recorded blocks spell out the states and weights exactly."""
+    assert_bit_equal(mu.state_mass().tolist(), ref_state_mass(mu).tolist())
+    for j in range(mu.k):
+        if ref_state_mass(mu)[j] > 0.0:
+            new = [[a.tolist() for a in sec] for sec in mu.sections(j)]
+            assert_bit_equal(new, [[a.tolist() for a in sec] for sec in ref_sections(mu, j)])
+    if mu.blocks is not None:
+        runs = [(j + 1, count, w) for j, b in enumerate(mu.blocks) for count, w in b]
+        assert mu.states.tolist() == [j for j, count, _ in runs for _ in range(count)]
+        assert_bit_equal(mu.weights.tolist(), [w for _, count, w in runs for _ in range(count)])
+
+
+@pytest.mark.parametrize("factory", [cantor_markov, diagonal_2d, three_state_1d])
+def test_recorded_blocks_match_the_masks_and_fsums(factory):
+    # From starts with no recorded blocks (the cycling uniform start, a
+    # random measure, a corner), the first resample records them and every
+    # later step carries them; three_state_1d has zero transitions.
+    sys = factory()
+    starts = [build_initial(sys, "uniform", 301, seed=2), random_measure(sys, 257, seed=3),
+              build_initial(sys, "corner", 40)]
+    for i, mu in enumerate(starts):
+        assert mu.blocks is None
+        check_measure(mu)
+        assert apply_operator(mu, sys).blocks is None
+        for n in range(5):
+            stepped = apply_operator(mu, sys)
+            check_measure(stepped)
+            mu = resample(stepped, 97, seed=10 * i + n)
+            ref = ref_resample(stepped, 97, seed=10 * i + n)
+            for field in ("states", "points", "weights"):
+                assert_bit_equal(getattr(mu, field).tolist(), getattr(ref, field).tolist())
+            assert mu.blocks is not None
+            check_measure(mu)
+            assert_bit_equal(weak_star_distance(mu, starts[0]), ref_weak_star_distance(mu, starts[0]))
 
 
 def test_state_mass_returns_a_fresh_copy():
@@ -680,7 +781,7 @@ def ref_measure_contraction_experiment(sys, trials, n_max, seed):
 def ref_batch_reverse_points(sys, words, anchor):
     words = np.asarray(words)
     n = words.shape[0]
-    pts = np.tile(np.asarray(anchor, dtype=float), (n, 1))
+    pts = np.array(np.broadcast_to(np.asarray(anchor, dtype=float), (n, sys.dim)))
     for t in range(words.shape[1] - 1, -1, -1):
         col = words[:, t]
         for j in range(1, sys.k + 1):
@@ -702,6 +803,22 @@ def ref_batch_reverse_boxes(sys, words):
             if mask.any():
                 lo[mask], hi[mask] = map_boxes(sys.maps[j - 1], lo[mask], hi[mask])
     return lo, hi
+
+
+def ref_advance_rows(sys, symbols, arrays):
+    """advance_rows as the masked loop: per symbol, a mask, a copy of the
+    rows, a map_boxes / map_points call and a scatter."""
+    symbols = np.asarray(symbols)
+    for j in range(1, sys.k + 1):
+        mask = symbols == j
+        if mask.any():
+            f = sys.maps[j - 1]
+            lo, hi, *clouds = (a[mask] for a in arrays)
+            images = [*map_boxes(f, lo.reshape(-1, f.dim), hi.reshape(-1, f.dim))]
+            images += [map_points(f, c.reshape(-1, f.dim)) for c in clouds]
+            for a, image, part in zip(arrays, images, (lo, hi, *clouds)):
+                a[mask] = image.reshape(part.shape)
+    return arrays
 
 
 def random_affine_2d(seed):
@@ -784,6 +901,16 @@ def check_clouds(sys, seed):
                          ref_image_diameter_curve(sys, word, n_max, 17))
 
 
+def frontier_rows(sys, n, seed):
+    """n rows shaped as the horizon walk holds them: boxes (n, 2, m) inside
+    the ambient box and clouds (n, 2, 5, m)."""
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(sys.ambient.lo, dtype=float)
+    hi = np.asarray(sys.ambient.hi, dtype=float)
+    a, b, cloud = (lo + rng.random(shape + (sys.dim,)) * (hi - lo) for shape in ((n, 2), (n, 2), (n, 2, 5)))
+    return [np.minimum(a, b), np.maximum(a, b), cloud]
+
+
 def check_batches(sys, words):
     anchor = sys.ambient.center()
     assert_bit_equal(batch_reverse_points(sys, words, anchor).tolist(),
@@ -791,6 +918,11 @@ def check_batches(sys, words):
     new_lo, new_hi = batch_reverse_boxes(sys, words)
     ref_lo, ref_hi = ref_batch_reverse_boxes(sys, words)
     assert_bit_equal((new_lo.tolist(), new_hi.tolist()), (ref_lo.tolist(), ref_hi.tolist()))
+    if words.shape[1]:
+        rows = frontier_rows(sys, words.shape[0], seed=int(words.sum()))
+        new = advance_rows(sys, words[:, 0], [a.copy() for a in rows])
+        assert_bit_equal([a.tolist() for a in new],
+                         [a.tolist() for a in ref_advance_rows(sys, words[:, 0], rows)])
 
 
 # Seeds 0, 6, 8 and 25 give random systems whose sampled horizon walk
@@ -839,6 +971,40 @@ def test_batch_loop_skips_symbols_absent_from_a_column():
     words = np.array([[1, 2, 3], [1, 1, 1], [1, 2, 2], [1, 1, 3]])
     check_batches(sys, words)
     check_batches(sys, words[:1])
+
+
+@pytest.mark.parametrize("block_points", [1, 7])
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+def test_batches_match_across_row_blocks(factory, block_points, monkeypatch):
+    monkeypatch.setattr(maps, "BLOCK_POINTS", block_points)
+    sys = factory()
+    words = np.random.default_rng(5).integers(1, sys.k + 1, size=(40, 7))
+    for depth in (1, 7):
+        check_batches(sys, words[:, :depth])
+
+
+@pytest.mark.parametrize("factory", [moebius_pair, signed_zero_1d, affine_3d])
+def test_batches_match_past_the_shipped_block(factory):
+    sys = factory()
+    words = np.random.default_rng(6).integers(1, sys.k + 1, size=(maps.BLOCK_POINTS + 123, 3))
+    check_batches(sys, words)
+
+
+@pytest.mark.parametrize("factory", [signed_zero_1d, affine_1d])
+def test_batches_keep_the_sign_of_zero_rows(factory):
+    # Rows that start at 0.0 or -0.0 and boxes [-0.0, 0.0], [-0.0, -0.0]:
+    # x -> -x/3, x/2 + (-0.0) and 0.25 x + (-0.0) flip or keep the sign.
+    sys = factory()
+    words = np.array([[1, 2], [2, 1], [2, 2], [1, 1]])
+    anchors = np.array([[0.0], [-0.0], [-0.0], [0.0]])
+    assert_bit_equal(batch_reverse_points(sys, words, anchors).tolist(),
+                     ref_batch_reverse_points(sys, words, anchors).tolist())
+    lo = np.array([[[-0.0], [-0.0]]] * 4)
+    hi = np.array([[[0.0], [-0.0]]] * 4)
+    clouds = np.concatenate([lo, hi], axis=1)[:, :, None, :]
+    new = advance_rows(sys, words[:, 0], [lo.copy(), hi.copy(), clouds.copy()])
+    ref = ref_advance_rows(sys, words[:, 0], [lo, hi, clouds])
+    assert_bit_equal([a.tolist() for a in new], [a.tolist() for a in ref])
 
 
 # --- horizon walk and decay curves ---------------------------------------------
@@ -1061,6 +1227,50 @@ moebius_maps = st.builds(
     st.floats(-1.0, 1.0),
     st.floats(1.5, 3.0),  # d > |c|: no pole on [-1, 1]
 )
+
+
+affine_1d_maps = st.builds(lambda a, b: AffineMap(((a,),), (b,)), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def map_tuples(draw):
+    """Two or three maps of one dimension: 1-D maps mix Moebius and affine
+    kinds, 2-D and 3-D ones are affine with mixing signs."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.one_of(moebius_maps, affine_1d_maps), min_size=2, max_size=3)))
+    first = draw(mixing_affine_maps())
+    more = draw(st.lists(mixing_affine_maps().filter(lambda g: g.dim == first.dim), min_size=1, max_size=2))
+    return (first, *more)
+
+
+def batch_outcome(fn, *args):
+    """What a batch composition returns, as the repr of its rows (NaN and
+    signed zeros included), or the type and message of its error."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except MarkovProdError as exc:
+        return type(exc), str(exc)
+    return repr([a.tolist() for a in (out if isinstance(out, (tuple, list)) else [out])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fs=map_tuples(), seed=st.integers(0, 2**32 - 1))
+def test_batches_match_on_random_maps(fs, seed):
+    # The batch compositions read only maps, k, dim and the ambient box, so
+    # these maps need not map [-1, 1]^m into itself; a pole met on the way
+    # must raise the same error in both.
+    m = fs[0].dim
+    sys = SimpleNamespace(maps=fs, k=len(fs), dim=m, ambient=IntervalBox((-1.0,) * m, (1.0,) * m))
+    rng = np.random.default_rng(seed)
+    words = rng.integers(1, sys.k + 1, size=(12, 4))
+    anchors = rng.uniform(-1.0, 1.0, size=(12, m))
+    assert batch_outcome(batch_reverse_points, sys, words, anchors) == batch_outcome(
+        ref_batch_reverse_points, sys, words, anchors)
+    assert batch_outcome(batch_reverse_boxes, sys, words) == batch_outcome(ref_batch_reverse_boxes, sys, words)
+    rows = frontier_rows(sys, 12, seed)
+    assert batch_outcome(advance_rows, sys, words[:, 0], [a.copy() for a in rows]) == batch_outcome(
+        ref_advance_rows, sys, words[:, 0], rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ from markovprod import (
     DecayCurve,
     DegenerateCurve,
     MapSystem,
+    MoebiusMap,
     NoRowPositiveState,
     NotPrimitive,
     build_shift,
@@ -32,6 +33,7 @@ from markovprod import (
     sync_experiment,
     weak_hyperbolicity_experiment,
 )
+from markovprod import synchronization
 from markovprod.shift import sample_words
 from markovprod.synchronization import coding_invariance
 from markovprod.synchronization import test_function as observable
@@ -259,7 +261,9 @@ def test_coding_anchor_independence():
 
 def test_coding_invariance_residual_below_bound():
     # prepending the first symbol to the shifted word's coded point must
-    # reproduce the full coded point within the enclosure bound.
+    # reproduce the full coded point within the enclosure bound.  The tail
+    # starts from the ambient corner lo, as in coding_invariance, so the two
+    # sides are different float compositions.
     from markovprod import evaluate_map
 
     sys = cantor_iid()
@@ -267,7 +271,7 @@ def test_coding_invariance_residual_below_bound():
     for row in words:
         word = tuple(int(a) for a in row)
         full, bound = coding_point(sys, word)
-        tail, _ = coding_point(sys, word[1:])
+        tail = reverse_composition(sys, word[1:], sys.ambient.lo)
         image = evaluate_map(sys.map_for(word[0]), tail)
         residual = abs(image[0] - full[0])
         assert residual <= bound + 1e-15
@@ -283,6 +287,26 @@ def test_coding_invariance_residual_is_a_real_difference():
     max_residual, max_allowance, violations = coding_invariance(sys, words)
     assert 0.0 < max_residual <= max_allowance
     assert violations == 0
+
+
+def test_coding_invariance_reports_a_perturbed_first_map(monkeypatch):
+    # The image side f_{w_1}(pi(w_2 ...)) goes through a system whose map 1
+    # is x -> x/3 + 1e-6 (map 2 unchanged), so every word starting with
+    # symbol 1 breaks the invariance by 1e-6, far above its allowance.
+    sys = cantor_iid()
+    shifted = MapSystem(ambient=sys.ambient, shift=sys.shift,
+                        maps=(MoebiusMap(1, 3e-6, 0, 3), sys.maps[1]))
+    words = sample_words(sys.shift, 400, 41, inverse=True, seed=23)
+    real = synchronization.batch_reverse_points
+
+    def image_side_perturbed(sys_, rows, anchor):
+        return real(shifted if np.shape(rows)[1] == 1 else sys_, rows, anchor)
+
+    assert coding_invariance(sys, words)[2] == 0
+    monkeypatch.setattr(synchronization, "batch_reverse_points", image_side_perturbed)
+    max_residual, max_allowance, violations = coding_invariance(sys, words)
+    assert violations == int((words[:, 0] == 1).sum()) > 0
+    assert max_residual > 1e-7 > max_allowance
 
 
 # --- ergodic_average --------------------------------------------------------

@@ -84,10 +84,10 @@ def compare_dirs(a: Path, b: Path) -> list[str]:
     return problems
 
 
-def extract(rev: str, dest: Path) -> None:
-    """Unpack `src/` and `configs/` of a git revision into `dest`."""
+def extract(rev: str, dest: Path, paths: tuple[str, ...] = ("src", "configs")) -> None:
+    """Unpack `paths` (by default `src/` and `configs/`) of a git revision into `dest`."""
     archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev, "src", "configs"],
+        ["git", "archive", "--format=tar", rev, *paths],
         cwd=ROOT, check=True, capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
