@@ -45,14 +45,15 @@ class StateTaggedMeasure:
 
     Derived quantities are memoized on first use, so the arrays are made
     read-only on construction: writing to them raises instead of leaving
-    the memoized values stale.  `blocks`, when recorded, lists per state the
-    (count, weight) blocks of its particles, which sit in state order."""
+    the memoized values stale.  `_blocks`, recorded only by `apply_operator`
+    and `resample`, lists per state the (count, weight) blocks of its
+    particles, which sit in state order."""
 
     states: np.ndarray
     points: np.ndarray
     weights: np.ndarray
     k: int
-    blocks: tuple | None = None
+    _blocks: tuple | None = field(default=None, init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -71,7 +72,7 @@ class StateTaggedMeasure:
         """Index of state j's (0-based) particles: their run if blocks are recorded, else a mask."""
         key = ("members", j)
         if key not in self._memo:
-            sizes = None if self.blocks is None else [sum(c for c, _ in b) for b in self.blocks[: j + 1]]
+            sizes = None if self._blocks is None else [sum(c for c, _ in b) for b in self._blocks[: j + 1]]
             self._memo[key] = self.states == j + 1 if sizes is None else slice(sum(sizes[:-1]), sum(sizes))
         return self._memo[key]
 
@@ -81,8 +82,8 @@ class StateTaggedMeasure:
             # The correctly rounded exact sum keeps the mass-evolution identity
             # at any particle count; fsum gives the same double as the blocks.
             masses = np.array([
-                math.fsum(self.weights[self._members(j)].tolist()) if self.blocks is None
-                else float(sum(count * Fraction(w) for count, w in self.blocks[j]))
+                math.fsum(self.weights[self._members(j)].tolist()) if self._blocks is None
+                else float(sum(count * Fraction(w) for count, w in self._blocks[j]))
                 for j in range(self.k)
             ])
             self._memo["mass"] = masses
@@ -172,16 +173,17 @@ def apply_operator(mu: StateTaggedMeasure, sys: MapSystem) -> StateTaggedMeasure
         points_out.append(map_points(sys.maps[j - 1], mu.points[mask]))
         weights_out.append(mu.weights[mask] * step[mask])
         states_out.append(np.full(int(mask.sum()), j, dtype=np.int64))
-    return StateTaggedMeasure(
-        states=np.concatenate(states_out),
-        points=np.concatenate(points_out),
-        weights=np.concatenate(weights_out),
-        k=mu.k,
-        blocks=None if mu.blocks is None else tuple(
-            tuple((count, float(w * P[i, j])) for i, b in enumerate(mu.blocks) if P[i, j] > 0.0 for count, w in b)
-            for j in range(sys.k)
-        ),
-    )
+    return _blocked(states_out, points_out, weights_out, mu.k, None if mu._blocks is None else tuple(
+        tuple((count, float(w * P[i, j])) for i, b in enumerate(mu._blocks) if P[i, j] > 0.0 for count, w in b)
+        for j in range(sys.k)
+    ))
+
+
+def _blocked(states_out, points_out, weights_out, k, blocks) -> StateTaggedMeasure:
+    """The measure of the concatenated per-state runs, with their blocks recorded."""
+    mu = StateTaggedMeasure(*map(np.concatenate, (states_out, points_out, weights_out)), k)
+    object.__setattr__(mu, "_blocks", blocks)
+    return mu
 
 
 def _allocate_slots(masses: np.ndarray, target: int) -> np.ndarray:
@@ -248,13 +250,8 @@ def resample(
         states_out.append(np.full(n_j, j, dtype=np.int64))
         points_out.append(pts[idx])
         weights_out.append(np.full(n_j, mass / n_j))
-    return StateTaggedMeasure(
-        states=np.concatenate(states_out),
-        points=np.concatenate(points_out),
-        weights=np.concatenate(weights_out),
-        k=mu.k,
-        blocks=tuple(((n, m / n),) if n else () for n, m in zip(slots.tolist(), masses.tolist())),
-    )
+    return _blocked(states_out, points_out, weights_out, mu.k,
+                    tuple(((n, m / n),) if n else () for n, m in zip(slots.tolist(), masses.tolist())))
 
 
 @dataclass(frozen=True, eq=False)

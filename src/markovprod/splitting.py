@@ -13,7 +13,7 @@ under every further composition of system maps.  Provides:
   symbol prefixes, comparing chained enclosures (certification, with float
   endpoints rounded to nearest) and sampled point clouds (a cloud overlap
   falsifies, since the true image projections contain the cloud extremes),
-  as one batched frontier walk in blocks of `BLOCK_POINTS` cloud points
+  as one batched frontier walk in blocks of `maps.BLOCK_POINTS` cloud points
 - search_witness: smallest-first deterministic enumeration of word pairs
 - normalize_witness: turn a witness into an equal-length pair of words that
   is admissible for the inverse measure and starts at a common symbol, the

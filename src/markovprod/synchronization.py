@@ -6,7 +6,7 @@ words; float endpoints are rounded to nearest, not outward); lower curves
 track a deterministic point cloud, built once per run, through the same
 maps, bracketing the image diameter up to that rounding.  All trials
 advance together, one symbol column at a time through `maps.advance_rows`,
-in blocks of `splitting.BLOCK_POINTS` cloud points, and each gets the
+in blocks of `maps.BLOCK_POINTS` cloud points, and each gets the
 floats of its one-trial curve.  Rates are fitted on the upper curve only.
 Fibre (reverse-order) enclosures test weak hyperbolicity per sample; a
 finite word's coding point has the enclosure diameter as bound.
@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DegenerateCurve, InadmissibleWord, NoRowPositiveState, NotPrimitive
 from .maps import (
+    BLOCK_POINTS,
     MapSystem,
     MoebiusMap,
     advance_rows,
@@ -37,7 +38,7 @@ from .maps import (
     reverse_composition,
 )
 from .shift import PRIMITIVE, Word, check_word, sample_word, sample_words
-from .splitting import BLOCK_POINTS, ambient_cloud
+from .splitting import ambient_cloud
 
 FIT_FLOOR = 1e-14
 DEFAULT_CLOUD = 256

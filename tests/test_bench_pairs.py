@@ -2,10 +2,9 @@
 place of perfbench/run.py."""
 
 import json
+import statistics
 import sys
 from pathlib import Path
-
-import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -64,9 +63,17 @@ def test_a_slower_change_wins_no_pair():
 
 
 def test_main_writes_the_bench_file(tmp_path, monkeypatch):
+    # The run length comes from BENCHMARK.json and the pair count is fixed.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 5}))
+    lengths = set()
+
+    def run_bench(tree, workload, seed, seconds):
+        lengths.add(seconds)
+        return fake_result(1.0)
+
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest, paths: None)
-    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, w, seed, seconds: fake_result(1.0))
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
     real_run = bench_pairs.subprocess.run
 
     def git(argv, **kwargs):
@@ -75,15 +82,18 @@ def test_main_writes_the_bench_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", git)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    assert bench_pairs.main(["HEAD~1", "--workload", "report_1d", "--pairs", "2", "--label", "x"]) == 0
+    assert bench_pairs.main(["HEAD~1", "--workload", "report_1d", "--label", "x"]) == 0
     record = json.loads((tmp_path / "BENCH_abc1234_x.json").read_text())
-    assert {k: record[k] for k in ("rev", "change", "seed", "seconds", "pairs")} == {
-        "rev": "abc1234", "change": "x", "seed": 3, "seconds": 28.0, "pairs": 2}
-    assert [(r["pair"], r["side"]) for r in record["runs"]] == [(0, "rev"), (0, "change"),
-                                                               (1, "change"), (1, "rev")]
-    assert record["summary"]["report_1d"]["wall_s"]["pairs"] == 2
+    assert {k: record[k] for k in ("rev", "change", "seed", "run_seconds", "pairs")} == {
+        "rev": "abc1234", "change": "x", "seed": 3, "run_seconds": 5, "pairs": 10}
+    assert lengths == {5}
+    assert [(r["pair"], r["side"]) for r in record["runs"][:4]] == [(0, "rev"), (0, "change"),
+                                                                   (1, "change"), (1, "rev")]
+    assert len(record["runs"]) == 20
+    assert record["summary"]["report_1d"]["wall_s"]["pairs"] == 10
 
 
-def test_pairs_must_be_positive():
-    with pytest.raises(SystemExit):
-        bench_pairs.main(["HEAD", "--pairs", "0"])
+def test_quartiles_are_those_of_the_baseline_tool():
+    values = [float(v) for v in range(1, 11)]
+    assert bench_pairs.quartiles(values) == tuple(statistics.quantiles(values, n=4))
+    assert bench_pairs.quartiles(values) == (2.75, 5.5, 8.25)

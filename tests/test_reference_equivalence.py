@@ -476,8 +476,8 @@ def check_measure(mu):
         if ref_state_mass(mu)[j] > 0.0:
             new = [[a.tolist() for a in sec] for sec in mu.sections(j)]
             assert_bit_equal(new, [[a.tolist() for a in sec] for sec in ref_sections(mu, j)])
-    if mu.blocks is not None:
-        runs = [(j + 1, count, w) for j, b in enumerate(mu.blocks) for count, w in b]
+    if mu._blocks is not None:
+        runs = [(j + 1, count, w) for j, b in enumerate(mu._blocks) for count, w in b]
         assert mu.states.tolist() == [j for j, count, _ in runs for _ in range(count)]
         assert_bit_equal(mu.weights.tolist(), [w for _, count, w in runs for _ in range(count)])
 
@@ -491,9 +491,9 @@ def test_recorded_blocks_match_the_masks_and_fsums(factory):
     starts = [build_initial(sys, "uniform", 301, seed=2), random_measure(sys, 257, seed=3),
               build_initial(sys, "corner", 40)]
     for i, mu in enumerate(starts):
-        assert mu.blocks is None
+        assert mu._blocks is None
         check_measure(mu)
-        assert apply_operator(mu, sys).blocks is None
+        assert apply_operator(mu, sys)._blocks is None
         for n in range(5):
             stepped = apply_operator(mu, sys)
             check_measure(stepped)
@@ -501,9 +501,17 @@ def test_recorded_blocks_match_the_masks_and_fsums(factory):
             ref = ref_resample(stepped, 97, seed=10 * i + n)
             for field in ("states", "points", "weights"):
                 assert_bit_equal(getattr(mu, field).tolist(), getattr(ref, field).tolist())
-            assert mu.blocks is not None
+            assert mu._blocks is not None
             check_measure(mu)
             assert_bit_equal(weak_star_distance(mu, starts[0]), ref_weak_star_distance(mu, starts[0]))
+
+
+def test_blocks_are_not_a_constructor_field():
+    # Only apply_operator and resample record blocks; a caller cannot pass
+    # blocks that disagree with the arrays.
+    mu = random_measure(cantor_markov(), 10, seed=6)
+    with pytest.raises(TypeError):
+        StateTaggedMeasure(mu.states, mu.points, mu.weights, mu.k, _blocks=((), ()))
 
 
 def test_state_mass_returns_a_fresh_copy():
@@ -1043,7 +1051,7 @@ def test_horizon_walk_matches_the_node_by_node_walks(factory, block_points, monk
 @pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
 def test_horizon_walk_matches_across_blocks(factory):
     sys = factory()
-    assert min(sys.k**4, 30) * 2 * BIG_CLOUD > splitting.BLOCK_POINTS
+    assert min(sys.k**4, 30) * 2 * BIG_CLOUD > maps.BLOCK_POINTS
     for word_a, word_b in HORIZON_PAIRS:
         assert_bit_equal(verify_split_horizon(sys, word_a, word_b, 4, cloud_size=BIG_CLOUD),
                          ref_exhaustive_horizon(sys, word_a, word_b, 4, BIG_CLOUD))
@@ -1070,7 +1078,7 @@ def test_horizon_walk_maps_every_prefix_once(monkeypatch, prefix_samples, rows):
 @pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
 def test_decay_curves_match_the_per_trial_loops(factory):
     sys = factory()
-    assert 20 * BIG_CLOUD > splitting.BLOCK_POINTS
+    assert 20 * BIG_CLOUD > maps.BLOCK_POINTS
     for trials, n_max, cloud_size in ((3, 8, 17), (20, 6, BIG_CLOUD)):
         assert_bit_equal(outcome(sync_experiment, sys, trials, n_max, seed=4, cloud_size=cloud_size),
                          outcome(ref_sync_experiment, sys, trials, n_max, 4, cloud_size))

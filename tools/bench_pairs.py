@@ -2,23 +2,25 @@
 
 Usage, from anywhere inside a source checkout:
 
-    python3 tools/bench_pairs.py REV [--workload W ...] [--pairs 10] [--seed 3] [--seconds 28]
-                                     [--label NAME]
+    python3 tools/bench_pairs.py REV [--workload W ...] [--seed 3] [--label NAME]
 
 `src/`, `configs/` and `perfbench/` of REV are extracted with `git archive`
 (as `tools/golden_diff.py` does) into a temporary directory.  For each
 workload (by default every one in `perfbench/run.py`), the tool then runs
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` of each tree
-on that tree, PAIRS times each, one pair at a time: pair i runs REV first
-when i is even and this checkout first when i is odd, so slow drift of the
-machine falls on both sides alike.
+on that tree, with T the `run_seconds` of the checkout's BENCHMARK.json,
+`PAIRS` (10) times each, one pair at a time: pair i runs REV first when i
+is even and this checkout first when i is odd, so slow drift of the machine
+falls on both sides alike.  Ten pairs is the fewest that can show a gain
+won in nine tenths of them, so the count is fixed.
 
 Every run's JSON result line goes, with its workload, pair, side and place
 in the pair, to `BENCH_<rev>_<label>.json` in the root of the checkout
 (`<label>` defaults to `git describe --always --dirty` of the checkout).
 The file also holds, per workload and end-to-end metric, each side's median
-and quartiles and how many pairs the checkout won, which the tool prints
-too.  A claimed gain needs wins in at least nine tenths of the pairs and
+and quartiles (as `statistics.quantiles(values, n=4)` gives them, the same
+as `perfbench/baseline.py`) and how many pairs the checkout won, which the
+tool prints too.  A claimed gain needs wins in at least nine tenths of the pairs and
 medians further apart than the distance between REV's quartiles.
 """
 
@@ -37,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from golden_diff import ROOT, extract  # noqa: E402
 
 SIDES = ("rev", "change")
+PAIRS = 10
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -68,7 +71,7 @@ def run_pairs(trees: dict[str, Path], workloads: list[str], pairs: int, run_one)
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return (values[0],) * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
 
 
@@ -108,13 +111,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev", help="git revision to compare against")
     parser.add_argument("--workload", action="append", choices=sorted(bench.WORKLOADS),
                         help="a workload to run (repeatable; default: all)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--label", help="name of this checkout in the output file")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     rev = subprocess.run(["git", "rev-parse", "--short", args.rev], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     label = args.label or label_of_checkout()
@@ -123,12 +123,12 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         old_tree = Path(tmp)
         extract(rev, old_tree, ("src", "configs", "perfbench"))
-        runs = run_pairs({"rev": old_tree, "change": ROOT}, workloads, args.pairs,
-                         lambda tree, w: run_bench(tree, w, args.seed, args.seconds))
+        runs = run_pairs({"rev": old_tree, "change": ROOT}, workloads, PAIRS,
+                         lambda tree, w: run_bench(tree, w, args.seed, seconds))
 
     summary = summarize(runs)
-    record = {"rev": rev, "change": label, "seed": args.seed, "seconds": args.seconds,
-              "pairs": args.pairs, "summary": summary, "runs": runs}
+    record = {"rev": rev, "change": label, "seed": args.seed, "run_seconds": seconds,
+              "pairs": PAIRS, "summary": summary, "runs": runs}
     path = ROOT / f"BENCH_{rev}_{label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for workload, entry in summary.items():

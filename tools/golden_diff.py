@@ -44,7 +44,7 @@ SEEDS = (0, 1)
 
 # Every shipped oracle block sets `exact: true`, none sets
 # `prefix_samples`, and the shipped 2-D horizon (10) spans only a few
-# blocks of the walk (`splitting.BLOCK_POINTS`) at its last depth, so these
+# blocks of the walk (`maps.BLOCK_POINTS`) at its last depth, so these
 # runs are the only ones to byte-compare the float oracle, the sampled
 # horizon walk and a 2-D exhaustive walk over 16 times as many blocks.
 # Each entry is (label, subcommand, shipped config, block -> keys replaced
