@@ -4,7 +4,9 @@ Ground truth for the probabilistic experiments:
 
 - membership_measure: total inverse measure of the words w of length n whose
   chained image enclosure of f_{w_0} o ... o f_{w_{n-1}} (ambient) contains a
-  given value x in projection s, by a depth-first word enumeration
+  given value x in projection s, by a pruned walk over word prefixes that
+  serves a whole grid of x values and several word lengths at once, each
+  enclosure chained from the cached enclosure of its suffix
 - avoidance_measure: total inverse measure of the words of length ell*N with
   no N-block equal to a given word, by a transfer-matrix recursion over N-blocks
 - substitute_blocks: blockwise word substitution
@@ -23,8 +25,10 @@ m >= 2 the chained enclosure is an upper bound and rows are flagged accordingly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +39,9 @@ from .splitting import NormalizedPair
 
 ENUMERATION_BUDGET = 1 << 24
 DEFAULT_GRID = 33
+# Chained enclosures one membership walk keeps, least recently used evicted
+# first: the cap, not the size of the word tree, bounds the walk's memory.
+ENCLOSURE_CACHE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -139,51 +146,88 @@ def _check_budget(k: int, n: int) -> None:
         )
 
 
-def _enumerate_membership(
+def _check_inside(xs, ambient: IntervalBox, s: int) -> None:
+    lo, hi = ambient.project(s)
+    for x in xs:
+        if not lo <= x <= hi:
+            raise ValueError(f"x = {x!r} outside the ambient projection [{lo!r}, {hi!r}]")
+
+
+def _walk_membership(
     maps: tuple[Map, ...],
     ambient: IntervalBox,
     tables: _Tables,
-    x,
+    xs,
     s: int,
-    n: int,
+    depths,
     collect: bool,
-):
-    """DFS over word prefixes with sound pruning.
+) -> list[list[tuple]]:
+    """One pruned walk over word prefixes for every x in xs and every word
+    length n in `depths`.
 
-    The chained enclosure of a prefix contains the enclosure of every
-    extension (maps send the ambient box into itself and box images are
-    inclusion-monotone), so a prefix whose projection misses x kills the
-    whole subtree.  Zero-measure transitions prune likewise.
+    A node (a word w) carries the run of the ascending grid points that lie
+    in the projection of the chained enclosure of each prefix of w, and is
+    pruned when the run is empty: the enclosure of a prefix contains that of
+    every extension (maps send the ambient box into itself and box images
+    are inclusion-monotone).  Zero-measure transitions prune likewise.  The
+    enclosure of w is box_image(f_{w_0}, enclosure of w[1:]), the images
+    `orbit(box_image, maps, reversed(w), ambient)` chains, kept for the
+    ENCLOSURE_CACHE most recently used words: eviction costs time, never
+    bits.  Words of one length are reached in lexicographic order, so each
+    x sums its measures in the order of a walk for that x alone.
+
+    Returns, per n in `depths` and per x in xs, (measure, count, words) of
+    the length-n words whose enclosures meet x; words is None unless
+    `collect`.
     """
     k = len(maps)
     si = s - 1
-    total = tables.one * 0
-    count = 0
-    words: list[Word] | None = [] if collect else None
-    path: list[int] = []
+    points = sorted(set(xs))
+    stops = {n: i for i, n in enumerate(depths)}
+    n_max = max(stops)
+    totals = [[tables.one * 0] * len(points) for _ in stops]
+    counts = [[0] * len(points) for _ in stops]
+    words = [[[] for _ in points] for _ in stops]
 
-    def rec(measure, last: int) -> None:
-        nonlocal total, count
-        if len(path) == n:
-            total = total + measure
-            count += 1
-            if words is not None:
-                words.append(tuple(path))
-            return
-        for a in range(1, k + 1):
-            step = tables.q[last - 1][a - 1] if last else tables.p[a - 1]
-            if step == 0:
-                continue
-            path.append(a)
-            box = orbit(box_image, maps, reversed(path), ambient)[-1]
-            if box.lo[si] <= x <= box.hi[si]:
-                rec(measure * step, a)
-            path.pop()
+    @lru_cache(maxsize=ENCLOSURE_CACHE)
+    def enclosure(word: Word) -> IntervalBox:
+        return box_image(maps[word[0] - 1], enclosure(word[1:])) if word else ambient
 
-    if n == 0:
-        return tables.one, 1, ([()] if collect else None)
-    rec(tables.one, 0)
-    return total, count, words
+    # (word, measure of its prefix, last step, run of points in the prefix's enclosures)
+    stack = [((), tables.one, None, 0, len(points))]
+    try:
+        while stack:
+            word, measure, step, first, stop = stack.pop()
+            if word:
+                box = enclosure(word)
+                lo, hi = box.lo[si], box.hi[si]
+                if not lo <= hi:  # a NaN end, which no x lies within
+                    continue
+                first = bisect_left(points, lo, first, stop)
+                stop = bisect_right(points, hi, first, stop)
+                if first == stop:
+                    continue
+                measure = measure * step
+            d = stops.get(len(word))
+            if d is not None:
+                for i in range(first, stop):
+                    totals[d][i] = totals[d][i] + measure
+                    counts[d][i] += 1
+                    if collect:
+                        words[d][i].append(word)
+            if len(word) < n_max:
+                last = word[-1] if word else 0
+                for a in range(k, 0, -1):  # popped in increasing order
+                    step = tables.q[last - 1][a - 1] if last else tables.p[a - 1]
+                    if step != 0:
+                        stack.append((word + (a,), measure, step, first, stop))
+    finally:
+        enclosure.cache_clear()
+    slot = {x: i for i, x in enumerate(points)}
+    return [
+        [(totals[d][slot[x]], counts[d][slot[x]], words[d][slot[x]] if collect else None) for x in xs]
+        for d in stops.values()
+    ]
 
 
 def membership_measure(sys: MapSystem, x, s: int, n: int, *, exact: bool = False):
@@ -191,7 +235,8 @@ def membership_measure(sys: MapSystem, x, s: int, n: int, *, exact: bool = False
 
     Membership is tested on the closed projection interval of the chained
     enclosure of f_{w_0} o ... o f_{w_{n-1}} (ambient); n = 0 gives 1.  Exact
-    for one-dimensional systems, an upper bound for m >= 2.
+    for one-dimensional systems, an upper bound for m >= 2.  The same
+    pruned walk as verify_bounds, run for the one point x.
     """
     if not 1 <= s <= sys.dim:
         raise ValueError(f"coordinate {s} outside 1..{sys.dim}")
@@ -202,10 +247,8 @@ def membership_measure(sys: MapSystem, x, s: int, n: int, *, exact: bool = False
     tables = _tables(sys.shift, exact)
     if exact:
         x = Fraction(x)
-    lo, hi = ambient.project(s)
-    if not lo <= x <= hi:
-        raise ValueError(f"x = {x!r} outside the ambient projection [{lo!r}, {hi!r}]")
-    total, _, _ = _enumerate_membership(maps, ambient, tables, x, s, n, collect=False)
+    _check_inside([x], ambient, s)
+    [[(total, _, _)]] = _walk_membership(maps, ambient, tables, [x], s, [n], collect=False)
     return total
 
 
@@ -295,20 +338,24 @@ def verify_bounds(
     """Full oracle sweep for a normalized witness pair.
 
     For each ell <= ell_max: takes the avoidance measure of the lower-measure
-    word W from one transfer-matrix recursion over N-blocks, then enumerates
-    for each grid x the membership measure (which the avoidance measure must
+    word W from one transfer-matrix recursion over N-blocks, and for each
+    grid x the membership measure (which the avoidance measure must
     dominate), the injectivity of the block substitution W -> W' on the
     enumerated membership words, and the per-word measure growth under that
-    substitution.  Also records the geometric decay bound (1 - rho0)^ell
-    where rho0 is the minimum of the measure of W and
+    substitution.  One pruned walk over word prefixes of length up to
+    ell_max*N enumerates the membership words of every ell and grid x.
+    Also records the geometric decay bound (1 - rho0)^ell where rho0 is the
+    minimum of the measure of W and
     inf_j q_{jW_0} q_{W_0 W_1} ... q_{W_{N-2} W_{N-1}}.
 
     The word roles are swapped if needed so that W is the one of lower
     inverse measure.  Raises HypothesisViolated when either word has zero
     inverse measure, their first symbols differ, or their image boxes fail
-    the projection disjointness the substitution argument rests on, and
+    the projection disjointness the substitution argument rests on,
     BudgetExceeded, before enumerating anything, when the words of length
-    ell_max*N exceed the enumeration budget.
+    ell_max*N exceed the enumeration budget, and ValueError, likewise
+    before enumerating, for a grid x outside the ambient projection (as
+    membership_measure does).
     """
     if isinstance(pair, NormalizedPair):
         xi, eta = pair.xi, pair.eta
@@ -360,17 +407,19 @@ def verify_bounds(
     exact_enclosures = sys.dim == 1
 
     _check_budget(sys.k, ell_max * n_block)
+    _check_inside(xs, ambient, s)
     avoid = _avoidance(tables.p, tables.q, word, ell_max, one)
     positive = [int(v != 0) for v in tables.p], [[int(v != 0) for v in r] for r in tables.q]
     avoid_counts = _avoidance(*positive, word, ell_max, 1)
+    ells = range(1, ell_max + 1)
+    membership = _walk_membership(
+        maps, ambient, tables, xs, s, [ell * n_block for ell in ells], collect=True
+    )
     rows: list[BoundCheck] = []
-    for ell, rhs, avoid_count in zip(range(1, ell_max + 1), avoid[1:], avoid_counts[1:]):
+    for ell, rhs, avoid_count, per_x in zip(ells, avoid[1:], avoid_counts[1:], membership):
         geometric_bound = (one - rho0) ** ell
         geometric_holds = rhs <= geometric_bound
-        for x in xs:
-            lhs, member_count, members = _enumerate_membership(
-                maps, ambient, tables, x, s, ell * n_block, collect=True
-            )
+        for x, (lhs, member_count, members) in zip(xs, per_x):
             images = [substitute_blocks(w, word, replacement) for w in members]
             injective = len(set(images)) == len(images)
             monotone = all(

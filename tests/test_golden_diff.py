@@ -6,7 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from golden_diff import compare_dirs, extra_invocations  # noqa: E402
-from markovprod.config import load_config  # noqa: E402
+from markovprod.config import experiment_block, load_config  # noqa: E402
 
 
 def make_outputs(root: Path) -> Path:
@@ -49,21 +49,26 @@ def test_truncated_file_is_flagged_at_its_end(tmp_path):
     assert compare_dirs(a, b) == ["operator.csv: differs from byte 14 (22 vs 14 bytes)"]
 
 
-def test_extra_runs_change_one_key_of_a_shipped_config(tmp_path):
+def test_extra_runs_change_keys_of_a_shipped_config(tmp_path):
     runs = {inv.label: inv for inv in extra_invocations(tmp_path)}
     assert {label: inv.subcommand for label, inv in runs.items()} == {
         "oracle-float-cantor_markov": "oracle",
+        "oracle-float-s2-diagonal_2d": "oracle",
+        "oracle-exact-diagonal_2d": "oracle",
         "split-sampled-diagonal_2d": "split-check",
         "split-exhaustive-diagonal_2d": "split-check",
     }
     configs = Path(__file__).resolve().parents[1] / "configs"
-    for label, (name, block, key, value) in {
-        "oracle-float-cantor_markov": ("cantor_markov", "oracle", "exact", False),
-        "split-sampled-diagonal_2d": ("diagonal_2d", "split", "prefix_samples", 500),
-        "split-exhaustive-diagonal_2d": ("diagonal_2d", "split", "horizon", 14),
+    for label, (name, block, keys) in {
+        "oracle-float-cantor_markov": ("cantor_markov", "oracle", {"exact": False}),
+        "oracle-float-s2-diagonal_2d": ("diagonal_2d", "oracle", {"exact": False, "s": 2}),
+        "oracle-exact-diagonal_2d": ("diagonal_2d", "oracle", {"exact": True}),
+        "split-sampled-diagonal_2d": ("diagonal_2d", "split", {"prefix_samples": 500}),
+        "split-exhaustive-diagonal_2d": ("diagonal_2d", "split", {"horizon": 14}),
     }.items():
         shipped = load_config(str(configs / f"{name}.json"))
         changed = load_config(str(runs[label].config))
-        assert shipped["experiments"][block][key] != value
-        shipped["experiments"][block][key] = value
+        section = experiment_block(shipped["experiments"], block)
+        assert {**section, **keys} != section
+        shipped["experiments"][block] = {**section, **keys}
         assert changed == shipped

@@ -6,6 +6,7 @@ value is checked against an independent enumeration."""
 
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -330,13 +331,50 @@ def test_verify_bounds_avoidance_words_match_brute_count():
 def test_verify_bounds_refuses_over_budget_ell_max_before_enumerating(monkeypatch):
     from markovprod import oracle
 
-    def enumerate_membership(*args, **kwargs):
+    def walk_membership(*args, **kwargs):
         raise AssertionError("membership enumerated before the budget check")
 
-    monkeypatch.setattr(oracle, "_enumerate_membership", enumerate_membership)
+    monkeypatch.setattr(oracle, "_walk_membership", walk_membership)
     sys = cantor_iid()
     with pytest.raises(BudgetExceeded, match=r"2\^26 words"):
         verify_bounds(sys, normalized_pair_for(sys), ell_max=13)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("x", [2.0, -1.0, float("nan")])
+def test_verify_bounds_rejects_grid_points_off_the_ambient_projection(monkeypatch, x, exact):
+    from markovprod import oracle
+
+    def walk_membership(*args, **kwargs):
+        raise AssertionError("membership enumerated before the grid check")
+
+    sys = cantor_iid()
+    with pytest.raises(ValueError) as single:
+        membership_measure(sys, x, 1, 2, exact=exact)
+    monkeypatch.setattr(oracle, "_walk_membership", walk_membership)
+    with pytest.raises(ValueError) as grid:
+        verify_bounds(sys, ((1, 1), (1, 2)), x_grid=[0.5, x], ell_max=2, exact=exact)
+    assert str(grid.value) == str(single.value)
+
+
+def test_membership_walk_memory_is_bounded_by_the_enclosure_cache():
+    # Images [0, 3/4] and [1/4, 1] overlap, so 0.5 lies in the enclosures
+    # of many words of every length, and by depth 16 the walk chains about
+    # 14,000 distinct enclosures.  Under tracemalloc an uncapped cache of
+    # them peaks at about 7 MB, the capped one at about 2.6 MB.
+    sys = MapSystem(
+        shift=build_shift(IID),
+        maps=(AffineMap(((0.75,),), (0.0,)), AffineMap(((0.75,),), (0.25,))),
+        ambient=UNIT,
+    )
+    tracemalloc.start()
+    try:
+        measure = membership_measure(sys, 0.5, 1, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert measure > 0.01
+    assert peak < 5_000_000
 
 
 def test_verify_bounds_rejects_mismatched_first_symbols():

@@ -5,8 +5,8 @@ The references below are the straightforward per-step and per-call
 implementations that the library's chunked orbit, memoized measures with
 their recorded state blocks, merged transport grid, single composition
 primitive (`maps.orbit`, plus one batch loop that gathers the maps'
-coefficients by symbol), batched horizon walk and batched decay curves
-replace.  Every comparison is `==` on
+coefficients by symbol), batched horizon walk, batched decay curves and
+oracle membership walk over a whole x-grid replace.  Every comparison is `==` on
 floats (plus `repr`, which also tells 0.0 from -0.0): the new code must
 compute the same doubles, not close ones.  The one exception is the oracle's
 avoidance measure: its transfer-matrix recursion sums in another order than
@@ -880,15 +880,35 @@ def check_scalar_compositions(sys, seed):
             assert_bit_equal(reverse_box(sys, word, box), ref_reverse_box(sys, word, box))
 
 
-def check_oracle_chains(sys, exact):
+def membership_grids(sys, s, exact):
+    """The default grid; some of its points out of order, repeated and with a
+    signed zero; and the cylinder endpoints 1/3, 2/9 and 2/3 that lie in the
+    ambient projection, where membership rests on the closed boundary."""
+    conv = Fraction if exact else float
+    default = [conv(x) for x in oracle.default_grid(sys, s)]
+    lo, hi = sys.ambient.project(s)
+    shuffled = [default[i] for i in (20, 3, 31, 3, 0, 20, 16, 32, 16, 9)]
+    shuffled += [conv(-0.0)] if lo <= 0 <= hi else []
+    ends = [v for v in (Fraction(1, 3), Fraction(2, 9), Fraction(2, 3)) if lo <= v <= hi]
+    return default, shuffled, [conv(v) for v in ends]
+
+
+def check_membership_walk(sys, exact, depths=range(7)):
+    """The walk for all depths and a whole grid gives, for each (n, x), the
+    measure, count and member words of the per-point reference DFS."""
     maps, ambient = oracle._scalar_geometry(sys, exact)
     tables = oracle._tables(sys.shift, exact)
     for s in range(1, sys.dim + 1):
-        for x in oracle.default_grid(sys, s, 5):
-            x = Fraction(x) if exact else x
-            for n in (0, 1, 4):
-                new = oracle._enumerate_membership(maps, ambient, tables, x, s, n, collect=True)
-                assert_bit_equal(new, ref_enumerate_membership(maps, ambient, tables, x, s, n))
+        for xs in membership_grids(sys, s, exact):
+            walked = oracle._walk_membership(maps, ambient, tables, xs, s, depths, collect=True)
+            for n, per_x in zip(depths, walked):
+                for x, new in zip(xs, per_x):
+                    assert_bit_equal(new, ref_enumerate_membership(maps, ambient, tables, x, s, n))
+
+
+def check_oracle_chains(sys, exact):
+    check_membership_walk(sys, exact)
+    maps, ambient = oracle._scalar_geometry(sys, exact)
     for pair in [((1,), (2,)), ((1, 2), (2, 1)), ((1, 1, 2), (1, 2, 2)), ((sys.k, 1), (sys.k, 1))]:
         assert oracle._reverse_boxes_disjoint(maps, ambient, *pair) == ref_reverse_boxes_disjoint(
             maps, ambient, *pair
@@ -970,6 +990,35 @@ def test_compositions_match_on_random_affine_2d_systems(seed):
     check_clouds(sys, seed)
     words = np.random.default_rng(seed).integers(1, 3, size=(30, 6))
     check_batches(sys, words)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_membership_walk_matches_on_random_affine_2d_systems_in_exact_mode(seed):
+    # The float walk runs in the test above, through check_oracle_chains.
+    check_membership_walk(random_affine_2d(seed), exact=True)
+
+
+@pytest.mark.parametrize("offset", [-1.0, math.nan], ids=["escaping", "nan"])
+def test_membership_walk_matches_on_enclosures_outside_their_prefixes(offset):
+    # x -> 3x - 1 sends [0, 1] onto [-1, 2], so an enclosure can hold points
+    # its prefix's enclosure lost; a nan offset makes every enclosure after
+    # it [nan, nan], which holds no point.  The per-point DFS drops such
+    # points, and so must the walk.
+    maps = (AffineMap(((3.0,),), (offset,)), AffineMap(((0.5,),), (0.0,)))
+    tables = oracle._tables(build_shift([[0.5, 0.5], [0.5, 0.5]]), False)
+    xs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    walked = oracle._walk_membership(maps, UNIT, tables, xs, 1, range(5), collect=True)
+    for n, per_x in enumerate(walked):
+        for x, new in zip(xs, per_x):
+            assert_bit_equal(new, ref_enumerate_membership(maps, UNIT, tables, x, 1, n))
+
+
+@pytest.mark.parametrize("factory", [cantor_markov, affine_2d])
+def test_membership_walk_keeps_its_bits_when_every_enclosure_is_evicted(factory, monkeypatch):
+    monkeypatch.setattr(oracle, "ENCLOSURE_CACHE", 1)
+    check_membership_walk(factory(), exact=False)
+    check_membership_walk(factory(), exact=True, depths=(2, 5))
 
 
 def test_batch_loop_skips_symbols_absent_from_a_column():

@@ -12,8 +12,9 @@ tree, and for each seed in `SEEDS`, the tool runs `python -m markovprod.cli`:
 - every benchmark workload of `perfbench/run.py` (`WORKLOADS`), with the
   config file that `workload_config` gives for it;
 - the `EXTRA_RUNS`, which cover code paths that neither of the above
-  reaches: the float oracle, the sampled-prefix horizon walk, and an
-  exhaustive horizon walk in 2-D whose frontier spans many blocks.
+  reaches: the float oracle, the oracle on a 2-D system, the sampled-prefix
+  horizon walk, and an exhaustive horizon walk in 2-D whose frontier spans
+  many blocks.
 
 Both trees run the same workload and extra config files, written once from
 this checkout; an invocation that repeats a shipped-config run of the tree
@@ -42,15 +43,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
 
-# Every shipped oracle block sets `exact: true`, none sets
+# Every shipped oracle block sets `exact: true` on a 1-D system, none sets
 # `prefix_samples`, and the shipped 2-D horizon (10) spans only a few
 # blocks of the walk (`maps.BLOCK_POINTS`) at its last depth, so these
-# runs are the only ones to byte-compare the float oracle, the sampled
-# horizon walk and a 2-D exhaustive walk over 16 times as many blocks.
-# Each entry is (label, subcommand, shipped config, block -> keys replaced
-# in that block).
+# runs are the only ones to byte-compare the float oracle, the oracle's
+# membership walk on a 2-D system (in both modes, and on the second
+# coordinate), the sampled horizon walk and a 2-D exhaustive walk over 16
+# times as many blocks.  Each entry is (label, subcommand, shipped config,
+# block -> keys replaced in that block, which is created if absent).
 EXTRA_RUNS = (
     ("oracle-float-cantor_markov", "oracle", "cantor_markov.json", {"oracle": {"exact": False}}),
+    ("oracle-float-s2-diagonal_2d", "oracle", "diagonal_2d.json", {"oracle": {"exact": False, "s": 2}}),
+    ("oracle-exact-diagonal_2d", "oracle", "diagonal_2d.json", {"oracle": {"exact": True}}),
     ("split-sampled-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"prefix_samples": 500}}),
     ("split-exhaustive-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"horizon": 14}}),
 )
@@ -147,7 +151,7 @@ def extra_invocations(config_dir: Path) -> list[Invocation]:
     for label, subcommand, name, changes in EXTRA_RUNS:
         config = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
         for block, keys in changes.items():
-            config["experiments"][block].update(keys)
+            config["experiments"].setdefault(block, {}).update(keys)
         path = config_dir / f"{label}.json"
         path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
         found.append(Invocation(label, subcommand, path))
