@@ -160,23 +160,44 @@ def apply_operator(mu: StateTaggedMeasure, sys: MapSystem) -> StateTaggedMeasure
     """One transfer step: particle (i, x, w) spawns (j, f_j(x), w p_ij) for
     every j with p_ij > 0.  Children are emitted in j-blocks, so the output
     ordering is deterministic, and a child's weight block is its parent's
-    times p_ij, so blocks recorded on mu carry over."""
+    times p_ij, so blocks recorded on mu carry over.  With blocks, the
+    parents of state j are the state runs of the i with p_ij > 0, each
+    weight run times the scalar p_ij; else a mask over all particles."""
     P = sys.shift.P
     states_out = []
     points_out = []
     weights_out = []
     for j in range(1, sys.k + 1):
-        step = P[mu.states - 1, j - 1]
-        mask = step > 0.0
-        if not np.any(mask):
+        if mu._blocks is None:
+            step = P[mu.states - 1, j - 1]
+            mask = step > 0.0
+            points, weights = mu.points[mask], mu.weights[mask] * step[mask]
+        else:
+            points, weights = _parent_runs(mu, P[:, j - 1])
+        if not len(weights):
             continue
-        points_out.append(map_points(sys.maps[j - 1], mu.points[mask]))
-        weights_out.append(mu.weights[mask] * step[mask])
-        states_out.append(np.full(int(mask.sum()), j, dtype=np.int64))
+        points_out.append(map_points(sys.maps[j - 1], points))
+        weights_out.append(weights)
+        states_out.append(np.full(len(weights), j, dtype=np.int64))
     return _blocked(states_out, points_out, weights_out, mu.k, None if mu._blocks is None else tuple(
         tuple((count, float(w * P[i, j])) for i, b in enumerate(mu._blocks) if P[i, j] > 0.0 for count, w in b)
         for j in range(sys.k)
     ))
+
+
+def _parent_runs(mu: StateTaggedMeasure, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points, and the weights times p_ij, of the particles of every
+    state i with p_ij = column[i] > 0, taken from mu's recorded state runs;
+    the points are a view when those runs are adjacent."""
+    runs = [(mu._members(i), p) for i, p in enumerate(column.tolist()) if p > 0.0]
+    spans = [runs[0][0]]
+    for run, _ in runs[1:]:
+        if spans[-1].stop == run.start:
+            spans[-1] = slice(spans[-1].start, run.stop)
+        else:
+            spans.append(run)
+    points = mu.points[spans[0]] if len(spans) == 1 else np.concatenate([mu.points[span] for span in spans])
+    return points, np.concatenate([mu.weights[run] * p for run, p in runs])
 
 
 def _blocked(states_out, points_out, weights_out, k, blocks) -> StateTaggedMeasure:

@@ -11,12 +11,16 @@ floats of its one-trial curve.  Rates are fitted on the upper curve only.
 Fibre (reverse-order) enclosures test weak hyperbolicity per sample; a
 finite word's coding point has the enclosure diameter as bound.
 
-The Birkhoff orbit is sequential and runs in fixed-length chunks: numpy
-draws each chunk's uniforms and tabulates its next states, and one Python
-loop walks the table and applies the maps with the same scalar float
-expressions as a step-by-step evaluation.  Averages are therefore
-bit-identical to the plain per-step loop, at a fraction of its cost and
-without any array as long as the orbit.
+The Birkhoff orbit runs as verified lockstep segments, the coupling idea
+of Propp & Wilson (1996): under the splitting condition, orbits driven by
+the same word merge exponentially fast, in floats bit for bit, so a
+segment started a few dozen steps early from a guess lands on the true
+orbit.  Numpy draws each super-chunk's uniforms and tabulates its next
+states; one kernel advances all its lanes together with the float
+expressions of a step-by-step evaluation, and a lane whose start is not,
+bit for bit, its predecessor's end is re-run from that end.  Averages are
+therefore bit-identical to the plain per-step loop, without any array as
+long as the orbit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .maps import (
     advance_rows,
     batch_reverse_boxes,
     batch_reverse_points,
-    evaluate_map,
     reverse_box,
     reverse_composition,
 )
@@ -293,61 +296,137 @@ def test_function(spec):
     raise ValueError(f"unknown test function {spec!r}")
 
 
-# Orbit steps per chunk.  Each chunk draws its own uniforms and builds its
-# own next-state table, so memory does not grow with the orbit length.
-_CHUNK = 16384
+# The orbit runs in super-chunks of `_LANES` lanes of `_LANE_STEPS` steps
+# each, plus `_WARMUP` steps that the first lane records and every other lane
+# spends reaching its own start from a guess: at most 2^17 steps, so memory
+# does not grow with the orbit length.
+_LANES = 256
+_LANE_STEPS = 256
+_WARMUP = 64
 
 
-def _orbit_chunk(sys: MapSystem, state: int, table: list[list[int]], pt: tuple):
-    """Walk one chunk of the orbit from `pt`, entering state `table[i][t]`
-    at chunk step t when the previous state is i (0-based), starting from
-    `state`.
+def _step_coefficients(sys: MapSystem):
+    """The maps' coefficients stacked by state for `_lockstep`.
 
-    Returns the visited points as one list per coordinate, plus the last
-    state.  Each map is evaluated with the scalar expressions of
-    `maps.evaluate_map`, so the points are bit-identical to a step-by-step
-    evaluation."""
-    maps = sys.maps
-    steps = range(len(table[0]))
-    s = state
+    In one dimension a (4, k) array of rows a, b, c, d, an affine map
+    x -> A x + o written as (A, o + 0.0, 0.0, 1.0): the denominator is
+    exactly 1.0, and adding 0.0 to o turns -0.0 into 0.0 as the `0 +` of
+    the affine form does, so every bit agrees.  Otherwise the (m, m, k)
+    matrices and the (m, k) offsets."""
     if sys.dim == 1:
-        # x -> o + (0 + a x) is evaluated as (a x + (o + 0.0)) / (0.0 x + 1.0):
-        # the denominator is exactly 1.0, and adding 0.0 to o turns -0.0
-        # into 0.0 as the `0 +` of the affine form does, so every bit agrees.
-        coeffs = [
-            (f.a, f.b, f.c, f.d)
-            if isinstance(f, MoebiusMap)
+        return np.array([
+            (f.a, f.b, f.c, f.d) if isinstance(f, MoebiusMap)
             else (f.matrix[0][0], f.offset[0] + 0.0, 0.0, 1.0)
-            for f in maps
-        ]
-        (x0,) = pt
-        xs = []
-        push = xs.append
-        for t in steps:
-            s = table[s][t]
-            a, b, c, d = coeffs[s]
-            x0 = (a * x0 + b) / (c * x0 + d)
-            push(x0)
-        return (xs,), s
-    if sys.dim == 2:
-        coeffs = [(*f.matrix[0], *f.matrix[1], *f.offset) for f in maps]
-        x0, x1 = pt
-        xs0, xs1 = [], []
-        push0, push1 = xs0.append, xs1.append
-        for t in steps:
-            s = table[s][t]
-            a00, a01, a10, a11, o0, o1 = coeffs[s]
-            x0, x1 = o0 + (0 + a00 * x0 + a01 * x1), o1 + (0 + a10 * x0 + a11 * x1)
-            push0(x0)
-            push1(x1)
-        return (xs0, xs1), s
-    pts = []
-    push = pts.append
-    for t in steps:
-        s = table[s][t]
-        pt = evaluate_map(maps[s], pt)
-        push(pt)
-    return tuple([p[i] for p in pts] for i in range(sys.dim)), s
+            for f in sys.maps
+        ], dtype=float).T
+    return (np.array([f.matrix for f in sys.maps], dtype=float).transpose(1, 2, 0),
+            np.array([f.offset for f in sys.maps], dtype=float).T)
+
+
+def _lockstep(coeffs, table: np.ndarray, cols: np.ndarray, state: np.ndarray, point: np.ndarray, steps: int):
+    """Advance one lane per entry of `cols` by `steps` steps, all together.
+
+    Lane j starts in state `state[j]` (0-based) at the point `point[:, j]`;
+    at its step t it moves from state s to `table[cols[j] + t, s]` and
+    applies that state's map, with the scalar float expressions of the
+    sequential orbit: (a x + b) / (c x + d) in one dimension, and
+    o_r + (0 + A_r0 x_0 + A_r1 x_1 + ...), summed from the left, in m.
+    Returns the states (steps, lanes) and the points (m, steps, lanes)
+    after each step."""
+    k = table.shape[1]
+    flat = table.ravel()
+    pos = cols * k
+    states = np.empty((steps, len(cols)), dtype=np.int64)
+    points = np.empty((point.shape[0], steps, len(cols)))
+    x = point
+    for t in range(steps):
+        state = flat.take(pos + state)
+        pos += k
+        if isinstance(coeffs, np.ndarray):
+            a, b, c, d = coeffs.take(state, axis=1)
+            x = (a * x + b) / (c * x + d)
+        else:
+            matrix = coeffs[0].take(state, axis=2)
+            acc = 0.0 + matrix[:, 0] * x[0]
+            for col in range(1, len(x)):
+                acc += matrix[:, col] * x[col]
+            x = coeffs[1].take(state, axis=1) + acc
+        states[t] = state
+        points[:, t] = x
+    return states, points
+
+
+def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
+    """The first n points of the forward orbit from x, in consecutive
+    pieces: yields (coords, reruns), coords an (m, length) array.
+
+    The first piece is x, whose uniform draws the initial state.  Each
+    later super-chunk draws its uniforms from `rng` in one call and
+    tabulates the next state for every current state.  Its lanes advance
+    together through `_lockstep`: lane 0 from the true state and point,
+    every later lane `_WARMUP` steps before its first own step from the
+    guess (state 0, x).  A lane whose (state, point) just before its first
+    own step is not, bit for bit, its predecessor's end is re-run from that
+    end, all such lanes together, round after round until every lane starts
+    at its predecessor's end.  Each round settles at least the first lane
+    that did not, so every point is the one a step-by-step loop gives.
+    `reruns` counts the lanes re-run at least once; on a system whose
+    orbits never merge that is nearly every lane, and the rounds then run
+    one after another at the kernel's cost per step."""
+    k, lanes, length, warm = sys.k, _LANES, _LANE_STEPS, _WARMUP
+    cums = np.cumsum(sys.shift.P, axis=1)
+    coeffs = _step_coefficients(sys)
+    start = np.array(x, dtype=float)[:, None]
+    p_cum = np.cumsum(sys.shift.p)
+    # The first j with u < cum[j], or the last state when there is none.
+    state = np.minimum(np.searchsorted(p_cum, rng.random(1), side="right"), k - 1)
+    point = start
+    yield start, 0
+    for done in range(1, n, lanes * length + warm):
+        m = min(lanes * length + warm, n - done)
+        count = max(1, -(-(m - warm) // length))
+        us = rng.random(m)
+        # Columns past m, run only by the last lane after its last own step, hold state 0.
+        table = np.zeros((count * length + warm, k), dtype=np.int64)
+        for i in range(k):
+            table[:m, i] = np.minimum(np.searchsorted(cums[i], us, side="right"), k - 1)
+        cols = np.arange(count) * length
+        guess = np.repeat(start, count, axis=1)
+        guess[:, 0] = point[:, 0]
+        states, points = _lockstep(coeffs, table, cols, np.r_[state, np.zeros(count - 1, np.int64)],
+                                   guess, length + warm)
+        # Each lane's (state, point) just before its first own step.
+        start_s, start_p = (states[warm - 1].copy(), points[:, warm - 1].copy()) if warm else (
+            np.zeros(count, np.int64), np.repeat(start, count, axis=1))
+        rerun = np.zeros(count, dtype=bool)
+        while True:
+            ok = (start_s[1:] == states[-1, :-1]) & np.all(
+                start_p[:, 1:].view(np.int64) == points[:, -1, :-1].view(np.int64), axis=0)
+            bad = np.flatnonzero(~ok) + 1
+            if not len(bad):
+                break
+            start_s[bad], start_p[:, bad] = states[-1, bad - 1], points[:, -1, bad - 1]
+            states[warm:, bad], points[:, warm:, bad] = _lockstep(
+                coeffs, table, cols[bad] + warm, start_s[bad], start_p[:, bad], length)
+            rerun[bad] = True
+        coords = np.concatenate(
+            [points[:, :, 0], points[:, warm:, 1:].transpose(0, 2, 1).reshape(len(start), -1)], axis=1
+        )[:, :m]
+        last = m - 1 - (count - 1) * length
+        state, point = states[last, -1:], points[:, last, -1:]
+        yield coords, int(rerun.sum())
+
+
+def _array_observable(phi):
+    """The observable as an array operation on coordinate rows (m, n) for
+    coordinates and products, the same IEEE operations as `test_function`;
+    None for squares and callables, which run per point in Python, since
+    Python's x ** 2 is not always x * x."""
+    if callable(phi) or phi[0] not in ("coordinate", "product"):
+        return None
+    if phi[0] == "coordinate":
+        return lambda coords: np.ascontiguousarray(coords[phi[1] - 1])
+    return lambda coords: coords[phi[1] - 1] * coords[phi[2] - 1]
 
 
 def _running_sum(start: float, values) -> float:
@@ -369,12 +448,10 @@ def ergodic_average(
     the time average; the reference value integrates the observable against
     a sampled estimate of the stationary law of coded points.
 
-    The orbit runs in chunks of at most `_CHUNK` steps inside each batch.
-    A chunk draws its uniforms in one call (successive draws continue one
-    stream), turns them into a table of next states for every current
-    state, walks that table sequentially and sums the observable from the
-    left, so the result is bit-identical to a step-by-step loop and the
-    memory does not grow with n."""
+    The orbit comes from `_orbit` in verified lockstep segments of at most
+    2^17 steps, bit for bit the points of a step-by-step loop, and the
+    total and batch sums add the observable from the left, so the result
+    is bit-identical to that loop and the memory does not grow with n."""
     if sys.shift.classification != PRIMITIVE:
         raise NotPrimitive("ergodic averaging requires a primitive shift")
     if n < BATCH_COUNT:
@@ -384,37 +461,20 @@ def ergodic_average(
     if not sys.ambient.contains(x):
         raise ValueError(f"starting point {x} outside the ambient box")
 
-    k = sys.k
-    cums = np.cumsum(sys.shift.P, axis=1)
-    p_cum = np.cumsum(sys.shift.p)
-    rng = np.random.default_rng(seed)
-
-    def next_state(cum, u):
-        # The first j with u < cum[j], or the last state when there is none.
-        return np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
-
     batch_size = n // BATCH_COUNT
     used = batch_size * BATCH_COUNT
     batch_sums = np.zeros(BATCH_COUNT)
     total = 0.0
-    pt = x
-    state = 0
-    for b in range(BATCH_COUNT):
-        for start in range(0, batch_size, _CHUNK):
-            m = min(_CHUNK, batch_size - start)
-            us = rng.random(m)
-            table = np.stack([next_state(cums[i], us) for i in range(k)])
-            if b == 0 and start == 0:
-                # Step 0 stays at x; its uniform draws the initial state.
-                state = int(next_state(p_cum, us[0]))
-                coords, state = _orbit_chunk(sys, state, table[:, 1:].tolist(), pt)
-                coords = tuple([v] + c for v, c in zip(pt, coords))
-            else:
-                coords, state = _orbit_chunk(sys, state, table.tolist(), pt)
-            pt = tuple(c[-1] for c in coords)
-            values = list(map(f_phi, zip(*coords)))
-            total = _running_sum(total, values)
-            batch_sums[b] = _running_sum(batch_sums[b], values)
+    observe = _array_observable(phi)
+    done = 0
+    for coords, _ in _orbit(sys, x, used, np.random.default_rng(seed)):
+        values = observe(coords) if observe else np.array(list(map(f_phi, zip(*coords.tolist()))), dtype=float)
+        total = _running_sum(total, values)
+        stop = done + len(values)
+        for b in range(done // batch_size, (stop - 1) // batch_size + 1):
+            piece = values[max(b * batch_size, done) - done : min((b + 1) * batch_size, stop) - done]
+            batch_sums[b] = _running_sum(batch_sums[b], piece)
+        done = stop
 
     average = total / used
     batch_means = batch_sums / batch_size
@@ -424,7 +484,7 @@ def ergodic_average(
 
     # Only the sampled law is integrated; its enclosures are not needed.
     _, target = sample_target(sys, target_samples, seed=seed + 104729)
-    vals = np.array([f_phi(tuple(pt_)) for pt_ in target.points])
+    vals = observe(target.points.T) if observe else np.array([f_phi(tuple(pt_)) for pt_ in target.points])
     reference = float((vals * target.weights).sum())
     reference_sigma = float(vals.std(ddof=1) / np.sqrt(target_samples))
     return ErgodicResult(

@@ -65,10 +65,18 @@ def test_a_slower_change_wins_no_pair():
 def test_main_writes_the_bench_file(tmp_path, monkeypatch):
     # The run length comes from BENCHMARK.json and the pair count is fixed.
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 5}))
+    for name in bench_pairs.TREE_PATHS:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "marker.txt").write_text(name)
     lengths = set()
+    trees = set()
 
     def run_bench(tree, workload, seed, seconds):
         lengths.add(seconds)
+        trees.add(tree)
+        # The working tree's directories are copied for the change's runs.
+        if tree.name == "new":
+            assert all((tree / name / "marker.txt").read_text() == name for name in bench_pairs.TREE_PATHS)
         return fake_result(1.0)
 
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
@@ -87,6 +95,9 @@ def test_main_writes_the_bench_file(tmp_path, monkeypatch):
     assert {k: record[k] for k in ("rev", "change", "seed", "run_seconds", "pairs")} == {
         "rev": "abc1234", "change": "x", "seed": 3, "run_seconds": 5, "pairs": 10}
     assert lengths == {5}
+    # Both sides run from copies on paths of equal length, never the checkout.
+    assert len(trees) == 2 and tmp_path not in trees
+    assert len({len(str(tree)) for tree in trees}) == 1
     assert [(r["pair"], r["side"]) for r in record["runs"][:4]] == [(0, "rev"), (0, "change"),
                                                                    (1, "change"), (1, "rev")]
     assert len(record["runs"]) == 20

@@ -2,11 +2,11 @@
 with plain references.
 
 The references below are the straightforward per-step and per-call
-implementations that the library's chunked orbit, memoized measures with
-their recorded state blocks, merged transport grid, single composition
-primitive (`maps.orbit`, plus one batch loop that gathers the maps'
-coefficients by symbol), batched horizon walk, batched decay curves and
-oracle membership walk over a whole x-grid replace.  Every comparison is `==` on
+implementations that the library's verified lockstep orbit, memoized
+measures with their recorded state blocks, merged transport grid, single
+composition primitive (`maps.orbit`, plus one batch loop that gathers the
+maps' coefficients by symbol), batched horizon walk, batched decay curves
+and oracle membership walk over a whole x-grid replace.  Every comparison is `==` on
 floats (plus `repr`, which also tells 0.0 from -0.0): the new code must
 compute the same doubles, not close ones.  The one exception is the oracle's
 avoidance measure: its transfer-matrix recursion sums in another order than
@@ -21,6 +21,7 @@ from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
 from itertools import product, takewhile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,6 +53,7 @@ from markovprod import (
     weak_star_distance,
 )
 from markovprod import maps, oracle, splitting, synchronization
+from markovprod.config import build_system, load_config
 from markovprod.maps import (
     advance_rows,
     batch_reverse_boxes,
@@ -89,6 +91,8 @@ from markovprod.synchronization import (
     image_diameter_curve,
 )
 from markovprod.synchronization import test_function as observable
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # --- references -------------------------------------------------------------
 
@@ -352,19 +356,87 @@ def test_ergodic_average_matches_reference(factory, x, phi, n):
     assert_bit_equal(astuple(new), astuple(ref))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("length", [1, 7, 256])
+@pytest.mark.parametrize("lanes", [1, 3, 64])
 @pytest.mark.parametrize("factory, x, phi", [
     (three_state_1d, (0.5,), ("square", 1)),
     (affine_2d, (0.3, 0.7), ("coordinate", 1)),
     (affine_3d, (0.1, 0.5, 0.9), lambda x: x[0] + x[2]),
+    (signed_zero_1d, (0.0,), sign_of),
 ])
-def test_ergodic_average_independent_of_chunk_length(monkeypatch, chunk, factory, x, phi):
-    # Short chunks split every batch into several, with a partial last one.
+def test_ergodic_average_independent_of_lane_layout(monkeypatch, lanes, length, factory, x, phi):
+    # Small layouts split every batch into several super-chunks, with a
+    # partial last one.  Without a warm-up every lane starts from the guess
+    # (state 0, x) at its first own step, so a lane whose predecessor does
+    # not end there is re-run; on signed_zero_1d that includes an end at
+    # -0.0, which equals the guess 0.0 but not bit for bit.
     sys = factory()
     ref = ref_ergodic_average(sys, x, phi, 2_345, seed=11, target_samples=200)
-    monkeypatch.setattr(synchronization, "_CHUNK", chunk)
+    for name, value in (("_LANES", lanes), ("_LANE_STEPS", length), ("_WARMUP", 0)):
+        monkeypatch.setattr(synchronization, name, value)
     new = ergodic_average(sys, x, phi, 2_345, seed=11, target_samples=200)
     assert_bit_equal(astuple(new), astuple(ref))
+
+
+def flip_1d():
+    # x -> 1 - x and x -> x: orbits from two points never merge.
+    return MapSystem(
+        shift=build_shift([[0.5, 0.5], [0.5, 0.5]]),
+        maps=(AffineMap(((-1.0,),), (1.0,)), AffineMap(((1.0,),), (0.0,))),
+        ambient=UNIT,
+    )
+
+
+def orbit_reruns(sys, x, n, seed):
+    rng = np.random.default_rng(seed)
+    return sum(reruns for _, reruns in synchronization._orbit(sys, x, n, rng))
+
+
+def test_ergodic_average_reruns_lanes_of_orbits_that_never_merge(monkeypatch):
+    # From 0.1 the orbit moves to 0.9 and 1 - 0.9 = 0.09999999999999998, and
+    # never comes back to 0.1.  The shipped layout re-runs every lane whose
+    # guess took the wrong number of flips; without a warm-up the guess
+    # (state 0, 0.1) is wrong for every lane but each super-chunk's first.
+    sys = flip_1d()
+    ref = ref_ergodic_average(sys, (0.1,), ("coordinate", 1), 20_000, seed=4, target_samples=200)
+    new = ergodic_average(sys, (0.1,), ("coordinate", 1), 20_000, seed=4, target_samples=200)
+    assert_bit_equal(astuple(new), astuple(ref))
+    assert orbit_reruns(sys, (0.1,), 20_000, seed=4) > 0
+    for name, value in (("_LANES", 4), ("_LANE_STEPS", 8), ("_WARMUP", 0)):
+        monkeypatch.setattr(synchronization, name, value)
+    new = ergodic_average(sys, (0.1,), ("coordinate", 1), 20_000, seed=4, target_samples=200)
+    assert_bit_equal(astuple(new), astuple(ref))
+    # 40 super-chunks of 4 lanes of 8 steps after the start point.
+    assert orbit_reruns(sys, (0.1,), 1 + 40 * 32, seed=4) == 40 * 3
+
+
+@pytest.mark.parametrize("name", ["cantor_iid", "diagonal_2d"])
+def test_shipped_orbits_rerun_no_lane(name):
+    # The lanes of the shipped iid systems merge within the warm-up, so the
+    # orbit's speed does not come from its fallback.
+    config = load_config(str(CONFIGS / f"{name}.json"))
+    block = config["experiments"]["ergodic"]
+    assert orbit_reruns(build_system(config), tuple(block["x"]), block["n"], seed=3) == 0
+
+
+def test_square_observable_uses_python_power():
+    # x ** 2 and x * x round differently on some floats; the orbit of the
+    # constant map x -> v stays at v, so the average adds v ** 2 n times.
+    rng = np.random.default_rng(0)
+    n = 100
+
+    def average(square):
+        total = 0.0
+        for _ in range(n):
+            total += square
+        return total / n
+
+    candidates = (v for v in rng.random(200_000).tolist() if average(v ** 2) != average(v * v))
+    v = next(candidates, None)
+    assert v is not None, "no float in the sample has x ** 2 != x * x"
+    sys = MapSystem(shift=build_shift([[1.0]]), maps=(AffineMap(((0.0,),), (v,)),), ambient=UNIT)
+    result = ergodic_average(sys, (v,), ("square", 1), n, seed=1, target_samples=10)
+    assert result.average == average(v ** 2) != average(v * v)
 
 
 def test_signed_zero_case_flips_sign():
@@ -504,6 +576,33 @@ def test_recorded_blocks_match_the_masks_and_fsums(factory):
             assert mu._blocks is not None
             check_measure(mu)
             assert_bit_equal(weak_star_distance(mu, starts[0]), ref_weak_star_distance(mu, starts[0]))
+
+
+def gapped_three_state_1d():
+    # State 2 never enters state 2, so the parents of state 2 are states 1
+    # and 3, whose runs are not adjacent.
+    return MapSystem(
+        shift=build_shift([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.2, 0.4, 0.4]]),
+        maps=three_state_1d().maps,
+        ambient=UNIT,
+    )
+
+
+@pytest.mark.parametrize("factory", [cantor_markov, diagonal_2d, three_state_1d, gapped_three_state_1d])
+def test_apply_operator_on_recorded_blocks_matches_the_mask_path(factory):
+    # A measure with recorded blocks takes each child set from the parents'
+    # state runs; the same arrays without blocks take it by a mask.  On the
+    # three-state systems, state 3 has no particles one step after a corner
+    # start, so some runs are empty.
+    sys = factory()
+    for i, mu in enumerate([build_initial(sys, "uniform", 301, seed=2), build_initial(sys, "corner", 40)]):
+        for n in range(4):
+            mu = resample(apply_operator(mu, sys), 97, seed=10 * i + n)
+            assert mu._blocks is not None
+            plain = StateTaggedMeasure(mu.states, mu.points, mu.weights, mu.k)
+            blocked, masked = apply_operator(mu, sys), apply_operator(plain, sys)
+            for field in ("states", "points", "weights"):
+                assert_bit_equal(getattr(blocked, field).tolist(), getattr(masked, field).tolist())
 
 
 def test_blocks_are_not_a_constructor_field():

@@ -5,10 +5,13 @@ Usage, from anywhere inside a source checkout:
     python3 tools/bench_pairs.py REV [--workload W ...] [--seed 3] [--label NAME]
 
 `src/`, `configs/` and `perfbench/` of REV are extracted with `git archive`
-(as `tools/golden_diff.py` does) into a temporary directory.  For each
-workload (by default every one in `perfbench/run.py`), the tool then runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` of each tree
-on that tree, with T the `run_seconds` of the checkout's BENCHMARK.json,
+(as `tools/golden_diff.py` does) into one directory of a temporary
+directory, and the same three directories of this checkout, as they are in
+the working tree, are copied into another beside it whose path has the same
+length, so a run's memory and time do not depend on where its tree lives.
+For each workload (by default every one in `perfbench/run.py`), the tool
+then runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` of
+each tree on that tree, with T the `run_seconds` of the checkout's BENCHMARK.json,
 `PAIRS` (10) times each, one pair at a time: pair i runs REV first when i
 is even and this checkout first when i is odd, so slow drift of the machine
 falls on both sides alike.  Ten pairs is the fewest that can show a gain
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,6 +44,7 @@ from golden_diff import ROOT, extract  # noqa: E402
 
 SIDES = ("rev", "change")
 PAIRS = 10
+TREE_PATHS = ("src", "configs", "perfbench")
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,10 +126,12 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or sorted(bench.WORKLOADS)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        old_tree = Path(tmp)
-        extract(rev, old_tree, ("src", "configs", "perfbench"))
-        runs = run_pairs({"rev": old_tree, "change": ROOT}, workloads, PAIRS,
-                         lambda tree, w: run_bench(tree, w, args.seed, seconds))
+        trees = {"rev": Path(tmp) / "rev", "change": Path(tmp) / "new"}
+        extract(rev, trees["rev"], TREE_PATHS)
+        for name in TREE_PATHS:
+            shutil.copytree(ROOT / name, trees["change"] / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        runs = run_pairs(trees, workloads, PAIRS, lambda tree, w: run_bench(tree, w, args.seed, seconds))
 
     summary = summarize(runs)
     record = {"rev": rev, "change": label, "seed": args.seed, "run_seconds": seconds,
