@@ -150,7 +150,8 @@ def _point_image(f: Map, x) -> tuple:
     if isinstance(f, AffineMap):
         return tuple(b + sum(a * v for a, v in zip(row, x)) for row, b in zip(f.matrix, f.offset))
     den = f.c * x[0] + f.d
-    if _anywhere(den == 0):
+    # Inline rather than `_anywhere`: the scalar orbit calls this once a step.
+    if (den == 0).any() if isinstance(den, np.ndarray) else den == 0:
         where = "a sample point" if isinstance(den, np.ndarray) else f"x = {x[0]!r}"
         raise DenominatorVanishes(f"denominator vanishes at {where}")
     return ((f.a * x[0] + f.b) / den,)

@@ -14,13 +14,15 @@ it detects mass misallocation and marginal displacement, which is what the
 stability statement needs at finite resolution, but it is strictly weaker
 than testing all continuous observables.
 
-A measure's arrays are read-only once built, and its per-state masses
-(block-exact sums) and its sections (for each state and coordinate, the
-stably sorted values and the cumulative normalized weights) are computed on
-first use and memoized on the measure.  A stability run therefore sorts its
-fixed target once, and each step's measure is summed once, however many
-distances and mass gaps read it; the values are those of a fresh
-computation, bit for bit.
+A measure's arrays, and its per-state masses (block-exact sums) and
+sections (per state and coordinate, the stably sorted values and cumulative
+normalized weights), memoized on first use, are read-only.  The cells of a
+transport distance depend only on the two cumulative-weight vectors
+(W1 = int |F1^-1 - F2^-1| du), so `weak_star_distance` keeps one plan of
+them per state on its second measure and reuses it while both vectors stay
+bitwise equal.  A stability run thus sorts and plans against its target
+once, drops each step's sections once its row is taken, and gets the bits
+of a fresh computation.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ class StateTaggedMeasure:
             w = self.weights[sel] / self.state_mass()[j]
             pts = self.points[sel]
             found = tuple(_section(pts[:, s], w) for s in range(self.dim))
+            for arr in (a for sec in found for a in sec):
+                arr.setflags(write=False)
             self._memo[key] = found
         return found
 
@@ -162,47 +166,54 @@ def apply_operator(mu: StateTaggedMeasure, sys: MapSystem) -> StateTaggedMeasure
     ordering is deterministic, and a child's weight block is its parent's
     times p_ij, so blocks recorded on mu carry over.  With blocks, the
     parents of state j are the state runs of the i with p_ij > 0, each
-    weight run times the scalar p_ij; else a mask over all particles."""
+    weight run times the scalar p_ij; else a mask over all particles.  Each
+    block is written straight into one output array per field."""
     P = sys.shift.P
-    states_out = []
-    points_out = []
-    weights_out = []
-    for j in range(1, sys.k + 1):
-        if mu._blocks is None:
-            step = P[mu.states - 1, j - 1]
-            mask = step > 0.0
-            points, weights = mu.points[mask], mu.weights[mask] * step[mask]
-        else:
-            points, weights = _parent_runs(mu, P[:, j - 1])
-        if not len(weights):
-            continue
-        points_out.append(map_points(sys.maps[j - 1], points))
-        weights_out.append(weights)
-        states_out.append(np.full(len(weights), j, dtype=np.int64))
-    return _blocked(states_out, points_out, weights_out, mu.k, None if mu._blocks is None else tuple(
+    if mu._blocks is None:
+        parents = [[(step > 0.0, step[step > 0.0])] for step in P[mu.states - 1].T]
+    else:
+        parents = [[(mu._members(i), p) for i, p in enumerate(col) if p > 0.0] for col in P.T.tolist()]
+    out = _empty(mu, sum(_count(sel) for runs in parents for sel, _ in runs))
+    end = 0
+    for j, runs in enumerate(parents):
+        start = end
+        for sel, p in runs:
+            n = _count(sel)
+            np.multiply(mu.weights[sel], p, out=out[2][end : end + n])
+            end += n
+        if end > start:
+            out[0][start:end] = j + 1
+            out[1][start:end] = map_points(sys.maps[j], _parent_points(mu, [sel for sel, _ in runs]))
+    return _blocked(*out, mu.k, None if mu._blocks is None else tuple(
         tuple((count, float(w * P[i, j])) for i, b in enumerate(mu._blocks) if P[i, j] > 0.0 for count, w in b)
         for j in range(sys.k)
     ))
 
 
-def _parent_runs(mu: StateTaggedMeasure, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points, and the weights times p_ij, of the particles of every
-    state i with p_ij = column[i] > 0, taken from mu's recorded state runs;
-    the points are a view when those runs are adjacent."""
-    runs = [(mu._members(i), p) for i, p in enumerate(column.tolist()) if p > 0.0]
-    spans = [runs[0][0]]
-    for run, _ in runs[1:]:
+def _count(sel) -> int:
+    return sel.stop - sel.start if isinstance(sel, slice) else int(np.count_nonzero(sel))
+
+
+def _parent_points(mu: StateTaggedMeasure, sels: list) -> np.ndarray:
+    """The points one mask or a list of state runs selects: a view when the runs are adjacent."""
+    if not isinstance(sels[0], slice):
+        return mu.points[sels[0]]
+    spans = [sels[0]]
+    for run in sels[1:]:
         if spans[-1].stop == run.start:
             spans[-1] = slice(spans[-1].start, run.stop)
         else:
             spans.append(run)
-    points = mu.points[spans[0]] if len(spans) == 1 else np.concatenate([mu.points[span] for span in spans])
-    return points, np.concatenate([mu.weights[run] * p for run, p in runs])
+    return mu.points[spans[0]] if len(spans) == 1 else np.concatenate([mu.points[span] for span in spans])
 
 
-def _blocked(states_out, points_out, weights_out, k, blocks) -> StateTaggedMeasure:
-    """The measure of the concatenated per-state runs, with their blocks recorded."""
-    mu = StateTaggedMeasure(*map(np.concatenate, (states_out, points_out, weights_out)), k)
+def _empty(mu: StateTaggedMeasure, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.empty(n, dtype=np.int64), np.empty((n, mu.dim)), np.empty(n)
+
+
+def _blocked(states, points, weights, k, blocks) -> StateTaggedMeasure:
+    """The measure of the given arrays, with their blocks recorded."""
+    mu = StateTaggedMeasure(states, points, weights, k)
     object.__setattr__(mu, "_blocks", blocks)
     return mu
 
@@ -244,22 +255,22 @@ def resample(
     Slots are split across strata by largest remainder (at least one per
     positive-mass stratum), then each stratum is resampled systematically
     with a single uniform offset, and its mass is spread equally over its
-    slots, so per-state masses survive exactly."""
+    slots, so per-state masses survive exactly.  Each stratum is written
+    straight into one output array per field."""
     if target_count < mu.k:
         raise ValueError("target_count must be at least the number of states")
     masses = mu.state_mass()
     slots = _allocate_slots(masses, target_count)
     rng = np.random.default_rng(seed)
-    states_out = []
-    points_out = []
-    weights_out = []
+    out = _empty(mu, int(slots.sum()))
+    end = 0
     for j in range(1, mu.k + 1):
         n_j = int(slots[j - 1])
         if n_j == 0:
             continue
+        start, end = end, end + n_j
         sel = mu._members(j - 1)
         w = mu.weights[sel]
-        pts = mu.points[sel]
         cum = np.cumsum(w)
         # cum[-1] carries sequential-summation drift of order n*eps; the
         # emitted masses must not inherit it, so the stratum mass is the
@@ -268,10 +279,10 @@ def resample(
         mass = float(masses[j - 1])
         offsets = (rng.random() + np.arange(n_j)) / n_j * min(mass, float(cum[-1]))
         idx = np.minimum(np.searchsorted(cum, offsets, side="right"), w.shape[0] - 1)
-        states_out.append(np.full(n_j, j, dtype=np.int64))
-        points_out.append(pts[idx])
-        weights_out.append(np.full(n_j, mass / n_j))
-    return _blocked(states_out, points_out, weights_out, mu.k,
+        out[0][start:end] = j
+        np.take(mu.points[sel], idx, axis=0, out=out[1][start:end], mode="clip")  # unbuffered
+        out[2][start:end] = mass / n_j
+    return _blocked(*out, mu.k,
                     tuple(((n, m / n),) if n else () for n, m in zip(slots.tolist(), masses.tolist())))
 
 
@@ -311,7 +322,8 @@ def sample_target(
         return None, make_measure(sys, states, np.tile(anchor, (n_samples, 1)), weights)
     words = sample_words(sys.shift, n_samples, depth, inverse=True, seed=seed)
     points = batch_reverse_points(sys, words, anchor)
-    return words, make_measure(sys, words[:, 0], points, weights)
+    # A view of the first column would keep the whole word table alive.
+    return words, make_measure(sys, words[:, 0].copy(), points, weights)
 
 
 def estimate_target(
@@ -344,31 +356,53 @@ def _section(x, w) -> tuple[np.ndarray, np.ndarray]:
     return x[order], np.cumsum(w[order])
 
 
+class _TransportPlan:
+    """The cells of the quantile gap integral for cumulative weights c1 and
+    c2, from one stable merge of the breakpoints: their widths `du` and each
+    side's quantile index on them."""
+
+    __slots__ = ("c1", "c2", "du", "i1", "i2")
+
+    def __init__(self, c1: np.ndarray, c2: np.ndarray) -> None:
+        n1, n2 = c1.shape[0], c2.shape[0]
+        both = np.concatenate((c1, c2))
+        order = np.argsort(both, kind="stable")  # timsort: one merge of two sorted runs
+        merged = both[order]
+        merged = merged[: np.searchsorted(merged, min(c1[-1], c2[-1]) + 1e-15, side="right")]
+        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        grid = merged[starts]
+        # On cell m a side's quantile index counts its breakpoints below grid[m],
+        # or below grid[m - 1] where the cell's midpoint rounds down onto it.  At
+        # merged position k, c1[o] (o = order[k]) has o, and c2[o - n1] k - o + n1.
+        pick = np.arange(grid.shape[0])
+        pick[1:] -= (grid[1:] + grid[:-1]) / 2.0 == grid[:-1]
+        at = starts[pick]
+        o = order[at]
+        below1 = np.where(o < n1, o, at - o + n1)
+        index = np.int32 if n1 + n2 <= np.iinfo(np.int32).max else np.int64
+        self.c1, self.c2 = c1, c2
+        self.du = np.diff(grid, prepend=0.0)
+        self.i1 = np.minimum(below1, n1 - 1).astype(index)
+        self.i2 = np.minimum(at - below1, n2 - 1).astype(index)
+
+    def fits(self, c1: np.ndarray, c2: np.ndarray) -> bool:
+        """Whether c1 and c2 are, bit for bit, this plan's vectors."""
+        return all(new.shape == old.shape and bool(np.all(new.view(np.int64) == old.view(np.int64)))
+                   for new, old in ((c1, self.c1), (c2, self.c2)))
+
+    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> float:
+        """sum(|x1[i1] - x2[i2]| du), in place in one grid-length array."""
+        q1 = x1.take(self.i1)
+        q1 -= x2.take(self.i2)
+        np.abs(q1, out=q1)
+        np.multiply(q1, self.du, out=q1)
+        return float(np.sum(q1))
+
+
 def _transport(sec1, sec2) -> float:
-    """Transport distance of two prepared sections: the integral of the
-    quantile gap over the merged breakpoint grid, which one stable merge of
-    the sorted breakpoints gives, with both sides' quantile indices."""
-    x1, c1 = sec1
-    x2, c2 = sec2
-    n1 = c1.shape[0]
-    both = np.concatenate((c1, c2))
-    order = np.argsort(both, kind="stable")  # timsort: one merge of two sorted runs
-    merged = both[order]
-    merged = merged[: np.searchsorted(merged, min(c1[-1], c2[-1]) + 1e-15, side="right")]
-    starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
-    grid = merged[starts]
-    du = np.diff(grid, prepend=0.0)
-    # On cell m a side's quantile index counts its breakpoints below grid[m],
-    # or below grid[m - 1] where the cell's midpoint rounds down onto it.  At
-    # merged position k, c1[o] (o = order[k]) has o, and c2[o - n1] k - o + n1.
-    pick = np.arange(grid.shape[0])
-    pick[1:] -= (grid[1:] + grid[:-1]) / 2.0 == grid[:-1]
-    at = starts[pick]
-    o = order[at]
-    below1 = np.where(o < n1, o, at - o + n1)
-    q1 = x1[np.minimum(below1, n1 - 1)]
-    q2 = x2[np.minimum(at - below1, x2.shape[0] - 1)]
-    return float(np.sum(np.abs(q1 - q2) * du))
+    """Transport distance of two prepared sections (x, c) over their plan."""
+    (x1, c1), (x2, c2) = sec1, sec2
+    return _TransportPlan(c1, c2)(x1, x2)
 
 
 def wasserstein_1d(x1, w1, x2, w2) -> float:
@@ -397,8 +431,19 @@ def weak_star_distance(mu: StateTaggedMeasure, nu: StateTaggedMeasure) -> float:
         if overlap <= 0.0:
             continue
         for sec1, sec2 in zip(mu.sections(j), nu.sections(j)):
-            total += overlap * _transport(sec1, sec2)
+            total += overlap * _planned_transport(nu, j, sec1, sec2)
     return total
+
+
+def _planned_transport(nu: StateTaggedMeasure, j: int, sec1, sec2) -> float:
+    """`_transport(sec1, sec2)` through the plan nu keeps for state j."""
+    plan = nu._memo.pop(("plan", j), None)
+    if plan is not None and not plan.fits(sec1[1], sec2[1]):
+        plan = None  # freed before its successor is built
+    if plan is None:
+        plan = _TransportPlan(sec1[1], sec2[1])
+    nu._memo[("plan", j)] = plan
+    return plan(sec1[0], sec2[0])
 
 
 @dataclass(frozen=True)
@@ -443,27 +488,16 @@ def stability_experiment(
     for idx, (name, mu) in enumerate(sorted(initials.items())):
         expected = mu.state_mass()
         current = mu
-        rows.append(
-            StabilityRow(
-                step=0,
-                initial_id=name,
-                distance=weak_star_distance(current, target.measure),
-                mass_gap=float(np.abs(current.state_mass() - p).max()),
-            )
-        )
-        for n in range(1, n_steps + 1):
-            current = apply_operator(current, sys)
-            current = resample(current, particle_budget, seed=seed + 7919 * idx + n)
-            expected = expected @ P
-            worst = max(worst, float(np.abs(current.state_mass() - expected).max()))
-            rows.append(
-                StabilityRow(
-                    step=n,
-                    initial_id=name,
-                    distance=weak_star_distance(current, target.measure),
-                    mass_gap=float(np.abs(current.state_mass() - p).max()),
-                )
-            )
+        for n in range(n_steps + 1):
+            if n:
+                current = apply_operator(current, sys)
+                current = resample(current, particle_budget, seed=seed + 7919 * idx + n)
+                expected = expected @ P
+                worst = max(worst, float(np.abs(current.state_mass() - expected).max()))
+            rows.append(StabilityRow(step=n, initial_id=name, distance=weak_star_distance(current, target.measure),
+                                     mass_gap=float(np.abs(current.state_mass() - p).max())))
+            for j in range(sys.k):  # nothing reads these sections again
+                current._memo.pop(("sections", j), None)
     return StabilityResult(
         rows=tuple(rows),
         mass_identity_error=worst,

@@ -415,6 +415,15 @@ def verify_bounds(
     membership = _walk_membership(
         maps, ambient, tables, xs, s, [ell * n_block for ell in ells], collect=True
     )
+    # The walk lists a member word under every x its enclosure holds, so
+    # each word's measure is computed once for the whole grid.
+    word_measures: dict[Word, object] = {}
+
+    def measure_of(w: Word):
+        if w not in word_measures:
+            word_measures[w] = inverse_word_measure(tables, w)
+        return word_measures[w]
+
     rows: list[BoundCheck] = []
     for ell, rhs, avoid_count, per_x in zip(ells, avoid[1:], avoid_counts[1:], membership):
         geometric_bound = (one - rho0) ** ell
@@ -422,10 +431,7 @@ def verify_bounds(
         for x, (lhs, member_count, members) in zip(xs, per_x):
             images = [substitute_blocks(w, word, replacement) for w in members]
             injective = len(set(images)) == len(images)
-            monotone = all(
-                inverse_word_measure(tables, w) <= inverse_word_measure(tables, fw)
-                for w, fw in zip(members, images)
-            )
+            monotone = all(measure_of(w) <= measure_of(fw) for w, fw in zip(members, images))
             rows.append(
                 BoundCheck(
                     ell=ell,

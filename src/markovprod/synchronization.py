@@ -18,9 +18,12 @@ segment started a few dozen steps early from a guess lands on the true
 orbit.  Numpy draws each super-chunk's uniforms and tabulates its next
 states; one kernel advances all its lanes together with the float
 expressions of a step-by-step evaluation, and a lane whose start is not,
-bit for bit, its predecessor's end is re-run from that end.  Averages are
-therefore bit-identical to the plain per-step loop, without any array as
-long as the orbit.
+bit for bit, its predecessor's end is re-run from that end.  Once a round
+would re-run more than `_SCALAR_SHARE` of the lanes, as on orbits that never
+merge, the lanes are settled in order instead, each one that did not start
+at its predecessor's end stepped again one point at a time through the
+scalar image kernel.  Averages are therefore bit-identical to the plain
+per-step loop, without any array as long as the orbit.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .maps import (
     BLOCK_POINTS,
     MapSystem,
     MoebiusMap,
+    _point_image,
     advance_rows,
     batch_reverse_boxes,
     batch_reverse_points,
@@ -303,6 +307,10 @@ def test_function(spec):
 _LANES = 256
 _LANE_STEPS = 256
 _WARMUP = 64
+# A round that re-runs more than this share of a super-chunk's lanes ends the
+# lockstep: each round costs a kernel pass of `_LANE_STEPS` steps, however
+# few lanes it settles, so on orbits that never merge the scalar steps win.
+_SCALAR_SHARE = 0.25
 
 
 def _step_coefficients(sys: MapSystem):
@@ -356,6 +364,24 @@ def _lockstep(coeffs, table: np.ndarray, cols: np.ndarray, state: np.ndarray, po
     return states, points
 
 
+def _step_by_step(maps, table: np.ndarray, state: int, point: tuple):
+    """The orbit from (state, point) one step per row of `table`, the
+    next-state rows of `_lockstep`, through `maps._point_image` on Python
+    floats: the states (steps,) and the points (m, steps)."""
+    k = table.shape[1]
+    flat = table.ravel().tolist()
+    image = _point_image
+    s, x = state, point
+    states, coords = [], []
+    push, extend = states.append, coords.extend
+    for pos in range(0, len(flat), k):
+        s = flat[pos + s]
+        x = image(maps[s], x)
+        push(s)
+        extend(x)
+    return states, np.array(coords, dtype=float).reshape(-1, len(point)).T
+
+
 def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
     """The first n points of the forward orbit from x, in consecutive
     pieces: yields (coords, reruns), coords an (m, length) array.
@@ -369,13 +395,17 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
     own step is not, bit for bit, its predecessor's end is re-run from that
     end, all such lanes together, round after round until every lane starts
     at its predecessor's end.  Each round settles at least the first lane
-    that did not, so every point is the one a step-by-step loop gives.
-    `reruns` counts the lanes re-run at least once; on a system whose
-    orbits never merge that is nearly every lane, and the rounds then run
-    one after another at the kernel's cost per step."""
+    that did not, so every point is the one a step-by-step loop gives.  A
+    round that would re-run more than `_SCALAR_SHARE` of the lanes instead
+    settles them one after another: each such lane that did not start at its
+    settled predecessor's end is stepped again from there through
+    `_step_by_step`, with the maps as `_lockstep` applies them (in one
+    dimension, Moebius maps of its coefficient rows).  `reruns` counts the
+    lanes re-run."""
     k, lanes, length, warm = sys.k, _LANES, _LANE_STEPS, _WARMUP
     cums = np.cumsum(sys.shift.P, axis=1)
     coeffs = _step_coefficients(sys)
+    scalar_maps = [MoebiusMap(*col) for col in coeffs.T.tolist()] if sys.dim == 1 else sys.maps
     start = np.array(x, dtype=float)[:, None]
     p_cum = np.cumsum(sys.shift.p)
     # The first j with u < cum[j], or the last state when there is none.
@@ -404,6 +434,21 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
                 start_p[:, 1:].view(np.int64) == points[:, -1, :-1].view(np.int64), axis=0)
             bad = np.flatnonzero(~ok) + 1
             if not len(bad):
+                break
+            if len(bad) > _SCALAR_SHARE * count:
+                # Every lane before the first bad one is settled; settle the
+                # rest in order, stepping again only those that did not start
+                # at their predecessor's end, over their own columns below m.
+                for lane in range(bad[0], count):
+                    end_s, end_p = states[-1, lane - 1], points[:, -1, lane - 1]
+                    if start_s[lane] == end_s and np.all(start_p[:, lane].view(np.int64) == end_p.view(np.int64)):
+                        continue
+                    own = cols[lane] + warm
+                    got_s, got_p = _step_by_step(scalar_maps, table[own : min(own + length, m)],
+                                                 int(end_s), tuple(end_p.tolist()))
+                    states[warm : warm + len(got_s), lane] = got_s
+                    points[:, warm : warm + len(got_s), lane] = got_p
+                    rerun[lane] = True
                 break
             start_s[bad], start_p[:, bad] = states[-1, bad - 1], points[:, -1, bad - 1]
             states[warm:, bad], points[:, warm:, bad] = _lockstep(
@@ -466,6 +511,15 @@ def ergodic_average(
     batch_sums = np.zeros(BATCH_COUNT)
     total = 0.0
     observe = _array_observable(phi)
+    from .markov_operator import sample_target
+
+    # Only the sampled law is integrated; its enclosures are not needed.  It
+    # comes first, so the orbit's pieces reuse the memory of its word table.
+    _, target = sample_target(sys, target_samples, seed=seed + 104729)
+    vals = observe(target.points.T) if observe else np.array([f_phi(tuple(pt_)) for pt_ in target.points])
+    reference = float((vals * target.weights).sum())
+    reference_sigma = float(vals.std(ddof=1) / np.sqrt(target_samples))
+    del target, vals
     done = 0
     for coords, _ in _orbit(sys, x, used, np.random.default_rng(seed)):
         values = observe(coords) if observe else np.array(list(map(f_phi, zip(*coords.tolist()))), dtype=float)
@@ -480,13 +534,6 @@ def ergodic_average(
     batch_means = batch_sums / batch_size
     batch_sigma = float(batch_means.std(ddof=1) / np.sqrt(BATCH_COUNT))
 
-    from .markov_operator import sample_target
-
-    # Only the sampled law is integrated; its enclosures are not needed.
-    _, target = sample_target(sys, target_samples, seed=seed + 104729)
-    vals = observe(target.points.T) if observe else np.array([f_phi(tuple(pt_)) for pt_ in target.points])
-    reference = float((vals * target.weights).sum())
-    reference_sigma = float(vals.std(ddof=1) / np.sqrt(target_samples))
     return ErgodicResult(
         average=average,
         batch_sigma=batch_sigma,

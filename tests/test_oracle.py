@@ -292,6 +292,28 @@ def test_verify_bounds_row_shape():
     assert len(report_default.rows) == 2 * 33
 
 
+def test_verify_bounds_measures_each_word_once(monkeypatch):
+    # At small ell one cylinder holds many grid points, and the walk lists
+    # its word under each of them; each member word and image is measured
+    # once for the whole grid.
+    from markovprod import oracle
+
+    sys = cantor_markov()
+    pair = normalized_pair_for(sys)
+    measure = oracle.inverse_word_measure
+    for exact in (True, False):
+        plain = verify_bounds(sys, pair, ell_max=3, exact=exact)
+        calls = []
+        monkeypatch.setattr(oracle, "inverse_word_measure",
+                            lambda tables, w: calls.append(tuple(w)) or measure(tables, w))
+        report = verify_bounds(sys, pair, ell_max=3, exact=exact)
+        monkeypatch.undo()
+        assert report == plain
+        # The pair's two words first, then each word of the rows once.
+        assert len(calls[2:]) == len(set(calls[2:]))
+        assert sum(row.membership_words for row in report.rows) > len(calls)
+
+
 def test_verify_bounds_float_and_exact_agree_on_verdicts():
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     for sys in (cantor_iid(), cantor_markov(), moebius_pair()):

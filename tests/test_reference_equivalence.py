@@ -16,7 +16,9 @@ Fraction mode and to 1e-12 relative on floats.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
@@ -52,7 +54,7 @@ from markovprod import (
     wasserstein_1d,
     weak_star_distance,
 )
-from markovprod import maps, oracle, splitting, synchronization
+from markovprod import maps, markov_operator, oracle, splitting, synchronization
 from markovprod.config import build_system, load_config
 from markovprod.maps import (
     advance_rows,
@@ -72,8 +74,10 @@ from markovprod.markov_operator import (
     StabilityRow,
     StateTaggedMeasure,
     _allocate_slots,
+    _planned_transport,
     _section,
     _transport,
+    _TransportPlan,
 )
 from markovprod.splitting import HorizonReport, ambient_cloud, verify_split_horizon
 from markovprod.synchronization import (
@@ -410,6 +414,20 @@ def test_ergodic_average_reruns_lanes_of_orbits_that_never_merge(monkeypatch):
     assert orbit_reruns(sys, (0.1,), 1 + 40 * 32, seed=4) == 40 * 3
 
 
+def test_orbits_that_never_merge_take_one_kernel_pass_per_super_chunk(monkeypatch):
+    # Each lockstep round costs a kernel pass however few lanes it settles;
+    # once a round would re-run more than `_SCALAR_SHARE` of the lanes, the
+    # lanes are settled by scalar steps instead, so the orbit makes no
+    # round after the first pass.
+    sys = flip_1d()
+    passes = []
+    kernel = synchronization._lockstep
+    monkeypatch.setattr(synchronization, "_lockstep", lambda *args: passes.append(1) or kernel(*args))
+    chunk = synchronization._LANES * synchronization._LANE_STEPS + synchronization._WARMUP
+    assert orbit_reruns(sys, (0.1,), 1 + 3 * chunk, seed=4) > 3 * synchronization._SCALAR_SHARE * synchronization._LANES
+    assert len(passes) == 3
+
+
 @pytest.mark.parametrize("name", ["cantor_iid", "diagonal_2d"])
 def test_shipped_orbits_rerun_no_lane(name):
     # The lanes of the shipped iid systems merge within the warm-up, so the
@@ -534,6 +552,87 @@ def test_transport_matches_on_near_ties(steps, other, seed):
     assert_bit_equal(_transport(*secs), ref_transport(*secs))
 
 
+def plan_holder():
+    """A stand-in for the measure whose memo keeps the plans."""
+    return SimpleNamespace(_memo={})
+
+
+@pytest.mark.parametrize("c1, c2", list(TRANSPORT_CASES.values()), ids=list(TRANSPORT_CASES))
+def test_warm_plan_matches_the_union_grid_for_new_points(c1, c2):
+    # A plan depends on the cumulative weights only; evaluated again on
+    # other points it must still give the reference's bits.
+    c1, c2 = np.array(c1), np.array(c2)
+    rng = np.random.default_rng(5)
+    holder = plan_holder()
+    plans = []
+    for x1, x2 in [(np.linspace(0.1, 0.9, c1.shape[0]), np.linspace(0.95, 0.05, c2.shape[0]) ** 2),
+                   (np.sort(rng.random(c1.shape[0])), -np.sort(rng.random(c2.shape[0]))),
+                   (np.zeros(c1.shape[0]), np.full(c2.shape[0], 0.5))]:
+        got = _planned_transport(holder, 0, (x1, c1), (x2, c2))
+        assert_bit_equal(got, ref_transport((x1, c1), (x2, c2)))
+        plans.append(holder._memo[("plan", 0)])
+    assert plans[0] is plans[1] is plans[2]
+
+
+@pytest.mark.parametrize("c1, c2", list(TRANSPORT_CASES.values()), ids=list(TRANSPORT_CASES))
+def test_plan_is_not_reused_for_weights_one_ulp_away(c1, c2):
+    # Moving any one entry of either side by one ulp, either way, gives
+    # another pair of weight vectors: the cached plan must not serve it.
+    c1, c2 = np.array(c1), np.array(c2)
+    plan = _TransportPlan(c1, c2)
+    assert plan.fits(c1.copy(), c2.copy())
+    for side in (0, 1):
+        for i in range(len((c1, c2)[side])):
+            for direction in (-1, 1):
+                moved = [c1.copy(), c2.copy()]
+                moved[side][i] = ulps(moved[side][i], direction)
+                assert not plan.fits(*moved)
+    # Through a measure's memo, a near miss builds a new plan and gives the
+    # reference's bits.
+    x1, x2 = np.linspace(0.1, 0.9, c1.shape[0]), np.linspace(0.95, 0.05, c2.shape[0]) ** 2
+    holder = plan_holder()
+    _planned_transport(holder, 0, (x1, c1), (x2, c2))
+    first = holder._memo[("plan", 0)]
+    near = c1.copy()
+    near[0] = ulps(near[0], -1)
+    assert_bit_equal(_planned_transport(holder, 0, (x1, near), (x2, c2)), ref_transport((x1, near), (x2, c2)))
+    assert holder._memo[("plan", 0)] is not first
+
+
+def test_stability_run_holds_at_most_one_plan_per_state(monkeypatch):
+    # Plans are kept per state on the target, so a run holds at most k of
+    # them at any distance, and none once it returns.
+    sys = three_state_1d()
+    live = weakref.WeakSet()
+    built = []
+
+    class CountedPlan(_TransportPlan):
+        def __init__(self, c1, c2):
+            super().__init__(c1, c2)
+            live.add(self)
+            built.append(1)
+
+    held = []
+    distance = markov_operator.weak_star_distance
+
+    def counted_distance(mu, nu):
+        result = distance(mu, nu)
+        gc.collect()
+        held.append(len(live))
+        return result
+
+    monkeypatch.setattr(markov_operator, "_TransportPlan", CountedPlan)
+    monkeypatch.setattr(markov_operator, "weak_star_distance", counted_distance)
+    kinds = ("uniform", "corner", "center")
+    initials = {kind: build_initial(sys, kind, 120, seed=31 * i) for i, kind in enumerate(kinds)}
+    stability_experiment(sys, initials, 6, 120, seed=3, target_samples=400, target_depth=30)
+    assert len(held) == 3 * 7
+    assert 0 < max(held) <= sys.k
+    gc.collect()
+    assert len(live) == 0
+    assert len(built) > 0
+
+
 def ref_sections(mu, j):
     sel = mu.states == j + 1
     w = mu.weights[sel] / ref_state_mass(mu)[j]
@@ -554,11 +653,29 @@ def check_measure(mu):
         assert_bit_equal(mu.weights.tolist(), [w for _, count, w in runs for _ in range(count)])
 
 
-@pytest.mark.parametrize("factory", [cantor_markov, diagonal_2d, three_state_1d])
+def gapped_three_state_1d():
+    # State 2 never enters state 2, so the parents of state 2 are states 1
+    # and 3, whose runs are not adjacent.
+    return MapSystem(
+        shift=build_shift([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.2, 0.4, 0.4]]),
+        maps=three_state_1d().maps,
+        ambient=UNIT,
+    )
+
+
+def assert_one_read_only_array(mu):
+    """Each field of mu is one C-contiguous, read-only array of its own."""
+    for arr in (mu.states, mu.points, mu.weights):
+        assert arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable
+
+
+@pytest.mark.parametrize("factory", [cantor_markov, diagonal_2d, three_state_1d, gapped_three_state_1d])
 def test_recorded_blocks_match_the_masks_and_fsums(factory):
     # From starts with no recorded blocks (the cycling uniform start, a
     # random measure, a corner), the first resample records them and every
-    # later step carries them; three_state_1d has zero transitions.
+    # later step carries them; three_state_1d has zero transitions, and on
+    # gapped_three_state_1d the parents of state 2 are not adjacent.  Both
+    # steps write their outputs as one array per field.
     sys = factory()
     starts = [build_initial(sys, "uniform", 301, seed=2), random_measure(sys, 257, seed=3),
               build_initial(sys, "corner", 40)]
@@ -569,23 +686,15 @@ def test_recorded_blocks_match_the_masks_and_fsums(factory):
         for n in range(5):
             stepped = apply_operator(mu, sys)
             check_measure(stepped)
+            assert_one_read_only_array(stepped)
             mu = resample(stepped, 97, seed=10 * i + n)
+            assert_one_read_only_array(mu)
             ref = ref_resample(stepped, 97, seed=10 * i + n)
             for field in ("states", "points", "weights"):
                 assert_bit_equal(getattr(mu, field).tolist(), getattr(ref, field).tolist())
             assert mu._blocks is not None
             check_measure(mu)
             assert_bit_equal(weak_star_distance(mu, starts[0]), ref_weak_star_distance(mu, starts[0]))
-
-
-def gapped_three_state_1d():
-    # State 2 never enters state 2, so the parents of state 2 are states 1
-    # and 3, whose runs are not adjacent.
-    return MapSystem(
-        shift=build_shift([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.2, 0.4, 0.4]]),
-        maps=three_state_1d().maps,
-        ambient=UNIT,
-    )
 
 
 @pytest.mark.parametrize("factory", [cantor_markov, diagonal_2d, three_state_1d, gapped_three_state_1d])
