@@ -7,6 +7,8 @@ pairs, enumerates cylinder sets exactly (float or rational), and runs the
 particle, synchronization, and ergodic experiments of the `markovprod` CLI.
 """
 
+from types import ModuleType as _Module
+
 from .errors import (
     BudgetExceeded,
     ConfigError,
@@ -93,75 +95,5 @@ from .synchronization import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap",
-    "BudgetExceeded",
-    "ConfigError",
-    "DecayCurve",
-    "DegenerateCurve",
-    "DenominatorVanishes",
-    "HypothesisViolated",
-    "InadmissibleWord",
-    "IntervalBox",
-    "InvalidMatrix",
-    "LastSymbolMismatch",
-    "LengthMismatch",
-    "MapSystem",
-    "MarkovProdError",
-    "MarkovShiftSpec",
-    "MoebiusMap",
-    "NoConnector",
-    "NoRowPositiveState",
-    "NormalizedPair",
-    "NotIrreducible",
-    "NotMonotoneSystem",
-    "NotPrimitive",
-    "NotSelfMapping",
-    "NumericalFailure",
-    "OracleReport",
-    "OutsideDomain",
-    "SplitWitness",
-    "StateTaggedMeasure",
-    "ZeroStationaryEntry",
-    "apply_operator",
-    "avoidance_measure",
-    "box_image",
-    "build_initial",
-    "build_shift",
-    "certify_split",
-    "classify_matrix",
-    "coding_point",
-    "cylinder_measure",
-    "ergodic_average",
-    "estimate_target",
-    "evaluate_map",
-    "fit_decay_rate",
-    "forward_box_chain",
-    "forward_orbit",
-    "image_diameter_curve",
-    "inverse_transition",
-    "is_admissible",
-    "make_measure",
-    "measure_contraction_experiment",
-    "membership_measure",
-    "monotone_classes",
-    "normalize_witness",
-    "resample",
-    "reverse_box",
-    "reverse_composition",
-    "sample_word",
-    "sample_words",
-    "search_witness",
-    "stability_experiment",
-    "stationary_vector",
-    "stationary_vector_power",
-    "substitute_blocks",
-    "sync_experiment",
-    "verify_bounds",
-    "verify_split_horizon",
-    "wasserstein_1d",
-    "weak_hyperbolicity_experiment",
-    "weak_star_distance",
-    "wielandt_bound",
-    "__version__",
-]
+# Every name imported above, without the submodules, and the version.
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _Module)) + ["__version__"]

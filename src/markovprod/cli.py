@@ -31,6 +31,7 @@ import os
 import sys as _sys
 import tempfile
 import traceback
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -76,7 +77,7 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -271,11 +272,11 @@ def _run_sync(sys_: MapSystem, config: dict, block: dict, seed: int):
     result = sync_experiment(
         sys_, block["trials"], block["n_max"], seed=seed, cloud_size=block["cloud_size"]
     )
-    curve_rows = [
+    curve_rows = (
         [fit.trial, n, u, l]
         for fit, curve in zip(result.fits, result.curves)
         for n, u, l in zip(curve.n, curve.upper, curve.lower)
-    ]
+    )
     fit_rows = [[f.trial, f.q_hat, f.c_hat] for f in result.fits]
     results = {
         "max_q": result.max_q,
@@ -291,7 +292,7 @@ def _run_sync(sys_: MapSystem, config: dict, block: dict, seed: int):
 
 def _run_contract(sys_: MapSystem, config: dict, block: dict, seed: int):
     result = measure_contraction_experiment(sys_, block["trials"], block["n_max"], seed=seed)
-    rows = [[r.trial, r.s, r.n, r.length] for r in result.rows]
+    rows = ([r.trial, r.s, r.n, r.length] for r in result.rows)
     fit_rows = [[f.trial, f.s, f.q_hat, f.c_hat] for f in result.fits]
     results = {
         "max_q": max(f.q_hat for f in result.fits),

@@ -311,19 +311,13 @@ def sample_target(
         raise ValueError("depth must be >= 0")
     anchor = np.asarray(sys.ambient.center(), dtype=float)
     weights = np.full(n_samples, 1.0 / n_samples)
+    words = sample_words(sys.shift, n_samples, max(depth, 1), inverse=True, seed=seed)
     if depth == 0:
         # Zero-depth fibres are the whole box: every sample sits at the
-        # anchor, tagged by a stationary draw.
-        rng = np.random.default_rng(seed)
-        states = 1 + np.minimum(
-            np.searchsorted(np.cumsum(sys.shift.p), rng.random(n_samples), side="right"),
-            sys.k - 1,
-        )
-        return None, make_measure(sys, states, np.tile(anchor, (n_samples, 1)), weights)
-    words = sample_words(sys.shift, n_samples, depth, inverse=True, seed=seed)
-    points = batch_reverse_points(sys, words, anchor)
-    # A view of the first column would keep the whole word table alive.
-    return words, make_measure(sys, words[:, 0].copy(), points, weights)
+        # anchor, tagged by its stationary start.  make_measure copies the
+        # states column, so no view keeps the word table alive.
+        return None, make_measure(sys, words[:, 0], np.tile(anchor, (n_samples, 1)), weights)
+    return words, make_measure(sys, words[:, 0], batch_reverse_points(sys, words, anchor), weights)
 
 
 def estimate_target(

@@ -7,7 +7,8 @@ Provides:
   retained as an independent cross-check
 - the time-reversed transition matrix q_ij = (p_j / p_i) * p_ji
 - cylinder measures of the forward and inverse Markov measures
-- admissibility tests and seeded word sampling
+- admissibility tests and seeded word sampling, all through one table of
+  next states per vector of uniforms
 
 Symbols are 1-based integers throughout; a word is a tuple of symbols.
 """
@@ -250,6 +251,31 @@ def cylinder_measure(shift: MarkovShiftSpec, word: Word, inverse: bool = False) 
     return out
 
 
+def _next_states(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row i: the 0-based next state from state i for each uniform in u, the
+    first s with u < cum[i, s] or else k - 1, in the smallest unsigned dtype
+    that holds k - 1.  Rows of cumulative sums are nondecreasing, so this is
+    the count of a row's first k - 1 entries that are <= u."""
+    table = np.empty((len(cum), len(u)), dtype=np.min_scalar_type(cum.shape[1] - 1))
+    for i, row in enumerate(cum[:, :-1]):
+        table[i] = np.searchsorted(row, u, side="right")
+    return table
+
+
+def _walk(shift: MarkovShiftSpec, columns, length: int, count: int, inverse: bool = False) -> np.ndarray:
+    """(count, length) words, the transposed view of a (length, count) array
+    whose dtype holds k, from an iterable of `length` uniform vectors: the
+    first draws the stationary starts, the t-th the step into column t."""
+    columns = iter(columns)
+    words = np.empty((length, count), dtype=np.min_scalar_type(shift.k))
+    words[0] = _next_states(np.cumsum(shift.p)[None], next(columns))[0]
+    cum, lanes = np.cumsum(shift.matrix(inverse), axis=1), np.arange(count)
+    for t, u in enumerate(columns, start=1):
+        words[t] = _next_states(cum, u)[words[t - 1], lanes]
+    words += 1
+    return words.T
+
+
 def sample_word(
     shift: MarkovShiftSpec,
     length: int,
@@ -262,29 +288,30 @@ def sample_word(
 
     The first symbol is `start` when given, otherwise drawn from the
     stationary vector; transitions follow P or, with inverse=True, Q.
-    Identical (parameters, seed) give identical words.
-    """
+    Identical (parameters, seed) give identical words: the `length`
+    uniforms of `default_rng(seed)` are tabulated once, then walked."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
         return ()
-    M = shift.matrix(inverse)
-    cum = np.cumsum(M, axis=1)
-    rng = np.random.default_rng(seed)
-    u = rng.random(length)
-    if start is None:
-        cur = 1 + int(np.searchsorted(np.cumsum(shift.p), u[0], side="right"))
-        cur = min(cur, shift.k)
-    else:
-        cur = int(start)
-        if not 1 <= cur <= shift.k:
-            raise InadmissibleWord(f"start state {cur} outside 1..{shift.k}")
-    out = [cur]
-    for t in range(1, length):
-        row = cum[cur - 1]
-        cur = 1 + min(int(np.searchsorted(row, u[t], side="right")), shift.k - 1)
-        out.append(cur)
+    if start is not None and not 1 <= int(start) <= shift.k:
+        raise InadmissibleWord(f"start state {int(start)} outside 1..{shift.k}")
+    u = np.random.default_rng(seed).random(length)
+    cur = int(start) - 1 if start is not None else int(_next_states(np.cumsum(shift.p)[None], u[:1])[0, 0])
+    rows = _next_states(np.cumsum(shift.matrix(inverse), axis=1), u[1:]).tolist()
+    out = [cur + 1]
+    for t in range(length - 1):
+        cur = rows[cur][t]
+        out.append(cur + 1)
     return tuple(out)
+
+
+def _sample_trials(shift: MarkovShiftSpec, trials: int, length: int, seed: int = 0) -> list[Word]:
+    """`[sample_word(shift, length, seed=seed + t) for t in range(trials)]`, batched."""
+    if length == 0:
+        return [()] * trials
+    u = np.array([np.random.default_rng(seed + t).random(length) for t in range(trials)]).T
+    return [tuple(w) for w in _walk(shift, u, length, trials).tolist()]
 
 
 def sample_words(
@@ -297,21 +324,11 @@ def sample_words(
 ) -> np.ndarray:
     """Vectorised batch of `count` words (rows) of the given length.
 
-    Starts are stationary draws.  Used by the particle experiments, where the
-    per-column loop keeps the cost at length * k array operations.
-    """
+    Starts are stationary draws; column t takes the t-th `count` uniforms
+    of `default_rng(seed)`, k searches and one gather.  The words are a
+    (count, length) view of a (length, count) array in the smallest
+    unsigned dtype that holds k, so each symbol column is contiguous."""
     if length <= 0 or count <= 0:
         raise ValueError("count and length must be positive")
-    M = shift.matrix(inverse)
-    k = shift.k
-    cum = np.cumsum(M, axis=1)
-    rng = np.random.default_rng(seed)
-    words = np.empty((count, length), dtype=np.int64)
-    u = rng.random(count)
-    start = 1 + np.minimum(np.searchsorted(np.cumsum(shift.p), u, side="right"), k - 1)
-    words[:, 0] = start
-    for t in range(1, length):
-        u = rng.random(count)
-        rows = cum[words[:, t - 1] - 1]
-        words[:, t] = 1 + np.minimum((rows <= u[:, None]).sum(axis=1), k - 1)
-    return words
+    rng, buf = np.random.default_rng(seed), np.empty(count)
+    return _walk(shift, (rng.random(out=buf) for _ in range(length)), length, count, inverse)

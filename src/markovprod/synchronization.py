@@ -44,7 +44,7 @@ from .maps import (
     reverse_box,
     reverse_composition,
 )
-from .shift import PRIMITIVE, Word, check_word, sample_word, sample_words
+from .shift import PRIMITIVE, Word, _next_states, _sample_trials, check_word, sample_words
 from .splitting import ambient_cloud
 
 FIT_FLOOR = 1e-14
@@ -157,7 +157,7 @@ def sync_experiment(
     _require_row_positive(sys)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    words = [sample_word(sys.shift, n_max, seed=seed + t) for t in range(trials)]
+    words = _sample_trials(sys.shift, trials, n_max, seed)
     curves = _decay_curves(sys, words, ambient_cloud(sys, cloud_size))
     fits = [RateFit(trial=t, q_hat=q, c_hat=c) for t, (c, q) in enumerate(map(fit_decay_rate, curves))]
     return SyncResult(curves=tuple(curves), fits=tuple(fits))
@@ -193,7 +193,7 @@ def measure_contraction_experiment(
     _require_row_positive(sys)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    words = [sample_word(sys.shift, n_max, seed=seed + t) for t in range(trials)]
+    words = _sample_trials(sys.shift, trials, n_max, seed)
     lengths, _ = _forward_extents(sys, words)
     rows, fits = [], []
     for t, (word, per_s) in enumerate(zip(words, lengths.transpose(1, 2, 0).tolist())):
@@ -407,19 +407,16 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
     coeffs = _step_coefficients(sys)
     scalar_maps = [MoebiusMap(*col) for col in coeffs.T.tolist()] if sys.dim == 1 else sys.maps
     start = np.array(x, dtype=float)[:, None]
-    p_cum = np.cumsum(sys.shift.p)
-    # The first j with u < cum[j], or the last state when there is none.
-    state = np.minimum(np.searchsorted(p_cum, rng.random(1), side="right"), k - 1)
+    state = _next_states(np.cumsum(sys.shift.p)[None], rng.random(1))[0]
     point = start
     yield start, 0
     for done in range(1, n, lanes * length + warm):
         m = min(lanes * length + warm, n - done)
         count = max(1, -(-(m - warm) // length))
-        us = rng.random(m)
+        steps = _next_states(cums, rng.random(m))
         # Columns past m, run only by the last lane after its last own step, hold state 0.
-        table = np.zeros((count * length + warm, k), dtype=np.int64)
-        for i in range(k):
-            table[:m, i] = np.minimum(np.searchsorted(cums[i], us, side="right"), k - 1)
+        table = np.zeros((count * length + warm, k), dtype=steps.dtype)
+        table[:m] = steps.T
         cols = np.arange(count) * length
         guess = np.repeat(start, count, axis=1)
         guess[:, 0] = point[:, 0]

@@ -49,12 +49,14 @@ from markovprod import (
     measure_contraction_experiment,
     resample,
     sample_word,
+    sample_words,
     stability_experiment,
     sync_experiment,
     wasserstein_1d,
     weak_star_distance,
 )
 from markovprod import maps, markov_operator, oracle, splitting, synchronization
+from markovprod import shift as shift_module
 from markovprod.config import build_system, load_config
 from markovprod.maps import (
     advance_rows,
@@ -970,7 +972,7 @@ def ref_sync_experiment(sys, trials, n_max, seed, cloud_size):
     synchronization._require_row_positive(sys)
     curves, fits = [], []
     for t in range(trials):
-        curve = ref_image_diameter_curve(sys, sample_word(sys.shift, n_max, seed=seed + t), n_max,
+        curve = ref_image_diameter_curve(sys, ref_sample_word(sys.shift, n_max, seed=seed + t), n_max,
                                          cloud_size)
         c_hat, q_hat = fit_decay_rate(curve)
         curves.append(curve)
@@ -983,7 +985,7 @@ def ref_measure_contraction_experiment(sys, trials, n_max, seed):
     synchronization._require_row_positive(sys)
     rows, fits = [], []
     for t in range(trials):
-        word = sample_word(sys.shift, n_max, seed=seed + t)
+        word = ref_sample_word(sys.shift, n_max, seed=seed + t)
         boxes = ref_forward_box_chain(sys, word)
         for s in range(1, sys.dim + 1):
             lengths = tuple(float(b.hi[s - 1]) - float(b.lo[s - 1]) for b in boxes)
@@ -1617,3 +1619,189 @@ def test_coding_invariance_matches_the_per_row_loop(factory):
 def test_coding_invariance_rejects_inadmissible_words(words):
     with pytest.raises(InadmissibleWord):
         coding_invariance(moebius_pair(), np.array(words))
+
+
+# --- word sampling --------------------------------------------------------------
+
+
+def ref_sample_word(shift, length, *, start=None, inverse=False, seed=0):
+    """sample_word as the per-step scalar search it was."""
+    if length == 0:
+        return ()
+    cum = np.cumsum(shift.matrix(inverse), axis=1)
+    u = np.random.default_rng(seed).random(length)
+    if start is None:
+        cur = min(1 + int(np.searchsorted(np.cumsum(shift.p), u[0], side="right")), shift.k)
+    else:
+        cur = int(start)
+    out = [cur]
+    for t in range(1, length):
+        cur = 1 + min(int(np.searchsorted(cum[cur - 1], u[t], side="right")), shift.k - 1)
+        out.append(cur)
+    return tuple(out)
+
+
+def ref_sample_words(shift, count, length, *, inverse=False, seed=0):
+    """sample_words as the (count, k) gather-compare-sum it was."""
+    k = shift.k
+    cum = np.cumsum(shift.matrix(inverse), axis=1)
+    rng = np.random.default_rng(seed)
+    words = np.empty((count, length), dtype=np.int64)
+    words[:, 0] = 1 + np.minimum(np.searchsorted(np.cumsum(shift.p), rng.random(count), side="right"), k - 1)
+    for t in range(1, length):
+        u = rng.random(count)
+        words[:, t] = 1 + np.minimum((cum[words[:, t - 1] - 1] <= u[:, None]).sum(axis=1), k - 1)
+    return words
+
+
+def lazy_cycle(k):
+    P = np.zeros((k, k))
+    states = np.arange(k)
+    P[states, states] = P[states, (states + 1) % k] = 0.5
+    return P
+
+
+# The shipped chains are all 2-state, hence reversible; the circulant below
+# is doubly stochastic but not symmetric, so Q = P^T differs from P.  Ten
+# entries of 0.1 sum to 0.9999999999999999, the largest double below 1.0, so
+# a uniform can reach the last cumulative entry of the ten-state chain's rows,
+# and the clip at k - 1 decides its state.
+SAMPLER_CHAINS = {
+    **{name: load_config(str(CONFIGS / f"{name}.json"))["system"]["transition_matrix"]
+       for name in ("cantor_iid", "cantor_markov", "diagonal_2d", "moebius_pair")},
+    "three_cycle": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+    "non_reversible_3": [[0.1, 0.6, 0.3], [0.3, 0.1, 0.6], [0.6, 0.3, 0.1]],
+    "ten_state_short_rows": [[0.1] * 10] * 10,
+}
+
+
+def edge_uniforms(shift):
+    """Every cumulative entry of p, P and Q, its neighbours one ulp away, 0.0
+    and the largest double below 1.0: the uniforms where a search's side and
+    the clip at k - 1 decide the state."""
+    cums = [np.cumsum(shift.p), *np.cumsum(shift.P, axis=1), *np.cumsum(shift.Q, axis=1)]
+    values = np.concatenate([c for v in cums for c in (v, np.nextafter(v, 0.0), np.nextafter(v, 1.0))])
+    return np.unique(np.r_[values, 0.0, np.nextafter(1.0, 0.0)].clip(0.0, np.nextafter(1.0, 0.0)))
+
+
+class EdgeStream:
+    """Stands in for `default_rng(seed)`: its uniforms cycle through the
+    shift's edge uniforms in an order fixed by the seed."""
+
+    def __init__(self, values, seed):
+        self.values = np.random.Generator(np.random.PCG64(seed)).permutation(np.tile(values, 8))
+        self.pos = 0
+
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else size
+        got = self.values[(self.pos + np.arange(n)) % len(self.values)]
+        self.pos += n
+        if out is None:
+            return got
+        out[...] = got
+        return out
+
+
+def streams(monkeypatch, shift):
+    """The real generator, then (patched in for both sides) the edge stream."""
+    yield "default_rng"
+    values = edge_uniforms(shift)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: EdgeStream(values, seed))
+    yield "edge"
+
+
+@pytest.mark.parametrize("name", SAMPLER_CHAINS)
+def test_next_state_table_matches_the_scalar_search(name):
+    shift = build_shift(SAMPLER_CHAINS[name])
+    k, u = shift.k, edge_uniforms(shift)
+    for cum in (np.cumsum(shift.p)[None], np.cumsum(shift.P, axis=1), np.cumsum(shift.Q, axis=1)):
+        table = shift_module._next_states(cum, u)
+        assert table.dtype == np.min_scalar_type(k - 1)
+        assert table.tolist() == [[min(int(np.searchsorted(row, x, side="right")), k - 1) for x in u]
+                                  for row in cum]
+    if name == "ten_state_short_rows":
+        assert np.all(np.cumsum(shift.P, axis=1)[:, -1] <= u.max())  # so the clip runs
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("name", SAMPLER_CHAINS)
+def test_sample_word_matches_the_scalar_loop(monkeypatch, name, inverse):
+    shift = build_shift(SAMPLER_CHAINS[name])
+    for _ in streams(monkeypatch, shift):
+        for seed in range(3):
+            for start in (None, *range(1, shift.k + 1)):
+                for length in (1, 2, 80):
+                    word = sample_word(shift, length, start=start, inverse=inverse, seed=seed)
+                    assert word == ref_sample_word(shift, length, start=start, inverse=inverse, seed=seed)
+                    assert all(type(a) is int for a in word)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("name", SAMPLER_CHAINS)
+def test_sample_words_match_the_compare_and_sum(monkeypatch, name, inverse):
+    shift = build_shift(SAMPLER_CHAINS[name])
+    for _ in streams(monkeypatch, shift):
+        for count, length in ((1, 1), (1, 7), (60, 1), (500, 9)):
+            words = sample_words(shift, count, length, inverse=inverse, seed=count + length)
+            assert words.dtype == np.min_scalar_type(shift.k)
+            assert words.shape == (count, length) and words.T.flags.c_contiguous
+            assert words.tolist() == ref_sample_words(shift, count, length, inverse=inverse,
+                                                      seed=count + length).tolist()
+
+
+@pytest.mark.parametrize("name", SAMPLER_CHAINS)
+def test_trial_words_are_the_per_seed_words(monkeypatch, name):
+    shift = build_shift(SAMPLER_CHAINS[name])
+    for _ in streams(monkeypatch, shift):
+        for trials, length in ((1, 1), (4, 0), (7, 3), (40, 20)):
+            assert shift_module._sample_trials(shift, trials, length, seed=7) == [
+                ref_sample_word(shift, length, seed=7 + t) for t in range(trials)]
+
+
+def test_sync_and_contract_words_are_the_per_seed_words(monkeypatch):
+    sys = moebius_pair()
+    drawn = []
+
+    def recording(*args):
+        drawn.append(shift_module._sample_trials(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(synchronization, "_sample_trials", recording)
+    sync_experiment(sys, 12, 9, seed=5, cloud_size=16)
+    measure_contraction_experiment(sys, 7, 11, seed=6)
+    assert drawn == [[ref_sample_word(sys.shift, 9, seed=5 + t) for t in range(12)],
+                     [ref_sample_word(sys.shift, 11, seed=6 + t) for t in range(7)]]
+
+
+def test_symbols_past_one_byte_keep_their_values():
+    shift = build_shift(lazy_cycle(300))
+    assert shift_module._next_states(np.cumsum(shift.P, axis=1), np.array([0.5])).dtype == np.uint16
+    for inverse in (False, True):
+        words = sample_words(shift, 400, 30, inverse=inverse, seed=2)
+        assert words.dtype == np.uint16 and words.max() > 255
+        assert words.tolist() == ref_sample_words(shift, 400, 30, inverse=inverse, seed=2).tolist()
+        word = sample_word(shift, 200, start=290, inverse=inverse, seed=2)
+        assert word == ref_sample_word(shift, 200, start=290, inverse=inverse, seed=2)
+        assert max(word) > 255
+
+
+@pytest.mark.parametrize("depth", [0, 1, 6])
+def test_target_states_are_int64_copies_of_the_start_column(depth):
+    sys = moebius_pair()
+    words, mu = markov_operator.sample_target(sys, 500, depth, seed=3)
+    assert mu.states.dtype == np.int64 and mu.states.flags.owndata
+    ref = ref_sample_words(sys.shift, 500, max(depth, 1), inverse=True, seed=3)
+    assert mu.states.tolist() == ref[:, 0].tolist()
+    assert words is None if depth == 0 else words.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
+def test_batch_compositions_read_every_table_layout_alike(factory):
+    sys = factory()
+    words = sample_words(sys.shift, 300, 12, inverse=True, seed=4)
+    anchor = sys.ambient.center()
+    points = batch_reverse_points(sys, words, anchor).tolist()
+    boxes = [a.tolist() for a in batch_reverse_boxes(sys, words)]
+    for other in (np.ascontiguousarray(words), words.astype(np.int64)):
+        assert_bit_equal(batch_reverse_points(sys, other, anchor).tolist(), points)
+        assert_bit_equal([a.tolist() for a in batch_reverse_boxes(sys, other)], boxes)
