@@ -7,8 +7,7 @@ Provides:
   retained as an independent cross-check
 - the time-reversed transition matrix q_ij = (p_j / p_i) * p_ji
 - cylinder measures of the forward and inverse Markov measures
-- admissibility tests and seeded word sampling, all through one table of
-  next states per vector of uniforms
+- admissibility tests and seeded word sampling from next-state tables
 
 Symbols are 1-based integers throughout; a word is a tuple of symbols.
 """
@@ -31,6 +30,8 @@ Word = tuple[int, ...]
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
+# Entries of one next-state table that sample_word walks as a Python list.
+WALK_CELLS = 1 << 20
 
 PRIMITIVE = "primitive"
 IRREDUCIBLE = "irreducible-not-primitive"
@@ -262,20 +263,6 @@ def _next_states(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return table
 
 
-def _walk(shift: MarkovShiftSpec, columns, length: int, count: int, inverse: bool = False) -> np.ndarray:
-    """(count, length) words, the transposed view of a (length, count) array
-    whose dtype holds k, from an iterable of `length` uniform vectors: the
-    first draws the stationary starts, the t-th the step into column t."""
-    columns = iter(columns)
-    words = np.empty((length, count), dtype=np.min_scalar_type(shift.k))
-    words[0] = _next_states(np.cumsum(shift.p)[None], next(columns))[0]
-    cum, lanes = np.cumsum(shift.matrix(inverse), axis=1), np.arange(count)
-    for t, u in enumerate(columns, start=1):
-        words[t] = _next_states(cum, u)[words[t - 1], lanes]
-    words += 1
-    return words.T
-
-
 def sample_word(
     shift: MarkovShiftSpec,
     length: int,
@@ -289,29 +276,26 @@ def sample_word(
     The first symbol is `start` when given, otherwise drawn from the
     stationary vector; transitions follow P or, with inverse=True, Q.
     Identical (parameters, seed) give identical words: the `length`
-    uniforms of `default_rng(seed)` are tabulated once, then walked."""
+    uniforms of `default_rng(seed)` are tabulated and walked in blocks of
+    about WALK_CELLS / k steps, so beside the word itself the table takes
+    O(WALK_CELLS) memory for any k and length."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
         return ()
     if start is not None and not 1 <= int(start) <= shift.k:
         raise InadmissibleWord(f"start state {int(start)} outside 1..{shift.k}")
-    u = np.random.default_rng(seed).random(length)
-    cur = int(start) - 1 if start is not None else int(_next_states(np.cumsum(shift.p)[None], u[:1])[0, 0])
-    rows = _next_states(np.cumsum(shift.matrix(inverse), axis=1), u[1:]).tolist()
-    out = [cur + 1]
-    for t in range(length - 1):
-        cur = rows[cur][t]
-        out.append(cur + 1)
+    rng = np.random.default_rng(seed)
+    u = rng.random(1)  # drawn with or without a start
+    cur = int(start) - 1 if start is not None else int(_next_states(np.cumsum(shift.p)[None], u)[0, 0])
+    cum, out = np.cumsum(shift.matrix(inverse), axis=1), [cur + 1]
+    block = max(1, WALK_CELLS // shift.k)
+    for done in range(1, length, block):
+        rows = _next_states(cum, rng.random(min(block, length - done))).tolist()
+        for t in range(len(rows[0])):
+            cur = rows[cur][t]
+            out.append(cur + 1)
     return tuple(out)
-
-
-def _sample_trials(shift: MarkovShiftSpec, trials: int, length: int, seed: int = 0) -> list[Word]:
-    """`[sample_word(shift, length, seed=seed + t) for t in range(trials)]`, batched."""
-    if length == 0:
-        return [()] * trials
-    u = np.array([np.random.default_rng(seed + t).random(length) for t in range(trials)]).T
-    return [tuple(w) for w in _walk(shift, u, length, trials).tolist()]
 
 
 def sample_words(
@@ -331,4 +315,10 @@ def sample_words(
     if length <= 0 or count <= 0:
         raise ValueError("count and length must be positive")
     rng, buf = np.random.default_rng(seed), np.empty(count)
-    return _walk(shift, (rng.random(out=buf) for _ in range(length)), length, count, inverse)
+    words = np.empty((length, count), dtype=np.min_scalar_type(shift.k))
+    words[0] = _next_states(np.cumsum(shift.p)[None], rng.random(out=buf))[0]
+    cum, lanes = np.cumsum(shift.matrix(inverse), axis=1), np.arange(count)
+    for t in range(1, length):
+        words[t] = _next_states(cum, rng.random(out=buf))[words[t - 1], lanes]
+    words += 1
+    return words.T

@@ -44,7 +44,7 @@ from .maps import (
     reverse_box,
     reverse_composition,
 )
-from .shift import PRIMITIVE, Word, _next_states, _sample_trials, check_word, sample_words
+from .shift import PRIMITIVE, Word, _next_states, check_word, sample_word, sample_words
 from .splitting import ambient_cloud
 
 FIT_FLOOR = 1e-14
@@ -157,7 +157,7 @@ def sync_experiment(
     _require_row_positive(sys)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    words = _sample_trials(sys.shift, trials, n_max, seed)
+    words = [sample_word(sys.shift, n_max, seed=seed + t) for t in range(trials)]
     curves = _decay_curves(sys, words, ambient_cloud(sys, cloud_size))
     fits = [RateFit(trial=t, q_hat=q, c_hat=c) for t, (c, q) in enumerate(map(fit_decay_rate, curves))]
     return SyncResult(curves=tuple(curves), fits=tuple(fits))
@@ -193,7 +193,7 @@ def measure_contraction_experiment(
     _require_row_positive(sys)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    words = _sample_trials(sys.shift, trials, n_max, seed)
+    words = [sample_word(sys.shift, n_max, seed=seed + t) for t in range(trials)]
     lengths, _ = _forward_extents(sys, words)
     rows, fits = [], []
     for t, (word, per_s) in enumerate(zip(words, lengths.transpose(1, 2, 0).tolist())):

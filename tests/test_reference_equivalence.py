@@ -1749,28 +1749,52 @@ def test_sample_words_match_the_compare_and_sum(monkeypatch, name, inverse):
                                                       seed=count + length).tolist()
 
 
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 @pytest.mark.parametrize("name", SAMPLER_CHAINS)
-def test_trial_words_are_the_per_seed_words(monkeypatch, name):
+def test_sample_word_walks_across_table_blocks(monkeypatch, name, inverse):
+    # Blocks of 1, 2 and 3 steps put block edges at every position of short words.
     shift = build_shift(SAMPLER_CHAINS[name])
-    for _ in streams(monkeypatch, shift):
-        for trials, length in ((1, 1), (4, 0), (7, 3), (40, 20)):
-            assert shift_module._sample_trials(shift, trials, length, seed=7) == [
-                ref_sample_word(shift, length, seed=7 + t) for t in range(trials)]
+    for cells in (shift.k, 2 * shift.k, 3 * shift.k):
+        monkeypatch.setattr(shift_module, "WALK_CELLS", cells)
+        for _ in streams(monkeypatch, shift):
+            for start in (None, shift.k):
+                for length in (1, 2, 3, 4, 7, 20):
+                    assert sample_word(shift, length, start=start, inverse=inverse, seed=length) == \
+                        ref_sample_word(shift, length, start=start, inverse=inverse, seed=length)
+        monkeypatch.undo()
+
+
+def test_long_words_on_many_states_keep_the_table_to_one_block_size(monkeypatch):
+    shift = build_shift(lazy_cycle(300))
+    length = 3 * shift_module.WALK_CELLS // shift.k + 5  # four blocks
+    sizes = []
+
+    def recording(cum, u):
+        sizes.append(cum.shape[0] * len(u))
+        return next_states(cum, u)
+
+    next_states = shift_module._next_states
+    monkeypatch.setattr(shift_module, "_next_states", recording)
+    for inverse in (False, True):
+        sizes.clear()
+        word = sample_word(shift, length, inverse=inverse, seed=9)
+        assert word == ref_sample_word(shift, length, inverse=inverse, seed=9)
+        assert len(sizes) == 5 and max(sizes) <= shift_module.WALK_CELLS  # the start, then four blocks
 
 
 def test_sync_and_contract_words_are_the_per_seed_words(monkeypatch):
     sys = moebius_pair()
     drawn = []
 
-    def recording(*args):
-        drawn.append(shift_module._sample_trials(*args))
+    def recording(*args, **kwargs):
+        drawn.append(sample_word(*args, **kwargs))
         return drawn[-1]
 
-    monkeypatch.setattr(synchronization, "_sample_trials", recording)
+    monkeypatch.setattr(synchronization, "sample_word", recording)
     sync_experiment(sys, 12, 9, seed=5, cloud_size=16)
     measure_contraction_experiment(sys, 7, 11, seed=6)
-    assert drawn == [[ref_sample_word(sys.shift, 9, seed=5 + t) for t in range(12)],
-                     [ref_sample_word(sys.shift, 11, seed=6 + t) for t in range(7)]]
+    assert drawn == [*(ref_sample_word(sys.shift, 9, seed=5 + t) for t in range(12)),
+                     *(ref_sample_word(sys.shift, 11, seed=6 + t) for t in range(7))]
 
 
 def test_symbols_past_one_byte_keep_their_values():

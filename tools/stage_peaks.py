@@ -6,18 +6,21 @@ Usage, from anywhere inside a source checkout:
 
 The tool starts one fresh interpreter with the `src/` of this checkout (or,
 with `--rev`, of that git revision, extracted with `git archive` as
-`tools/golden_diff.py` does) first on `sys.path`.  That interpreter loads
-the config (a file, or the one `perfbench/run.py` gives for workload W),
-builds the system, and then runs, in order, each runner that `markovprod
-all` would run, writing its CSV files to a temporary directory as `all`
-does and dropping its tables before the next stage.  After each stage it
-reads `resource.getrusage(RUSAGE_SELF)`, so only its own process counts.
+`tools/golden_diff.py` does) first on `sys.path`.  That interpreter runs
+`markovprod all` on the config (a file, or the one `perfbench/run.py` gives
+for workload W) through `cli.main`, with its output directory in a
+temporary directory.  Each runner in `cli.REGISTRY` is wrapped to read
+`resource.getrusage(RUSAGE_SELF)` when it is entered, and one more read
+follows the run, so only the tool's own process counts and the stages are
+exactly those `all` runs, results kept, CSV files written and all.
 
 One line per stage is printed: the wall seconds of the stage, the minor
-page faults taken during it, and `ru_maxrss` after it.  `ru_maxrss` is the
-high-water mark of the process so far, so, as in an `all` run, a stage's
-figure includes whatever earlier stages left on the heap.  The first line,
-`setup`, covers the imports, the config and the system.
+page faults taken during it, and `ru_maxrss` at its end.  A stage ends
+where the next runner starts, so it includes writing its CSV files; the
+last one includes writing the summary.  `ru_maxrss` is the high-water mark
+of the process so far, so a stage's figure includes whatever earlier stages
+left on the heap.  The first line, `setup`, covers the imports, the config
+and the system.
 """
 
 from __future__ import annotations
@@ -32,33 +35,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def measure(src: str, config_path: str, seed: int, outdir: str) -> None:
-    """Run the stages in this process and print one JSON line per stage."""
+def measure(src: str, config_path: str, seed: int, outdir: str) -> int:
+    """Run `markovprod all` in this process and print one JSON line per stage."""
+    import contextlib
     import resource
     import time
 
-    t0 = time.perf_counter()
+    marks = [("setup", time.perf_counter(), 0, 0)]
     sys.path.insert(0, src)
     from markovprod import cli
 
-    def report(stage: str, start: float, faults: int) -> tuple[float, int]:
+    def mark(stage: str) -> None:
         usage = resource.getrusage(resource.RUSAGE_SELF)
-        now = time.perf_counter()
-        print(json.dumps({"stage": stage, "wall_s": now - start, "minflt": usage.ru_minflt - faults,
-                          "maxrss_mib": usage.ru_maxrss / 1024}), flush=True)
-        return now, usage.ru_minflt
+        marks.append((stage, time.perf_counter(), usage.ru_minflt, usage.ru_maxrss))
 
-    config = cli.load_config(config_path)
-    sys_ = cli.build_system(config)
-    start, faults = report("setup", t0, 0)
-    for name in cli._all_subcommands(config["experiments"]):
-        block_name, runner = cli.REGISTRY[name]
-        block = cli.experiment_block(config["experiments"], block_name)
-        _, tables = runner(sys_, config, block, seed)
-        for filename in tables:
-            cli._write_csv(str(Path(outdir) / filename), *tables[filename])
-        del tables
-        start, faults = report(name, start, faults)
+    def entered(stage, runner):
+        def run(*args):
+            mark(stage)
+            return runner(*args)
+        return run
+
+    for stage, (block_name, runner) in cli.REGISTRY.items():
+        cli.REGISTRY[stage] = (block_name, entered(stage, runner))
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(["all", "--config", config_path, "--seed", str(seed), "--out", outdir])
+    mark("end")
+    if code > 1:  # 1 is a failed verdict; the stages still ran
+        return code
+    for (stage, start, faults, _), (_, end, faults_end, maxrss) in zip(marks, marks[1:]):
+        print(json.dumps({"stage": stage, "wall_s": end - start, "minflt": faults_end - faults,
+                          "maxrss_mib": maxrss / 1024}), flush=True)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             config = bench.workload_config(bench.WORKLOADS[args.workload], tmp)
         (tmp / "out").mkdir()
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import stage_peaks; "
-                "stage_peaks.measure(sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5])")
+                "sys.exit(stage_peaks.measure(sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]))")
         out = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools"), str(src), str(config),
                               str(args.seed), str(tmp / "out")],
                              stdin=subprocess.DEVNULL, capture_output=True, text=True)
