@@ -24,6 +24,7 @@ the bits of the scalar evaluation: every step is the same IEEE operation.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -44,7 +45,9 @@ _FLIP = {PLUS: MINUS, MINUS: PLUS}
 
 # Rows in one block of a batched composition, and cloud points in one of the
 # horizon walk (both witness images) or of the sync trials: caps their memory.
-BLOCK_POINTS = 1 << 15
+# 2^13 float64 rows are 64 KiB, under glibc's default 128 KiB M_MMAP_THRESHOLD,
+# so a block's temporaries come from the heap and are reused, not faulted in.
+BLOCK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -301,6 +304,16 @@ class MapSystem:
             raise ValueError(f"symbol {symbol} outside 1..{self.k}")
         return self.maps[symbol - 1]
 
+    @cached_property
+    def coefficient_tables(self) -> dict:
+        """kind -> (map class, per-field float coefficients of all k maps, symbols
+        last, stand-ins at other kinds' symbols) for the batched compositions."""
+        return {
+            f.kind: (type(f), [np.moveaxis(np.array(v, dtype=float), 0, -1)
+                               for v in zip(*(astuple(g if g.kind == f.kind else f) for g in self.maps))])
+            for f in self.maps[::-1]
+        }
+
 
 def monotone_classes(sys: MapSystem) -> tuple[MonotoneType, ...]:
     """All sign patterns t compatible with every map, in lexicographic order
@@ -359,19 +372,15 @@ def reverse_box(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> I
 def _reverse_rows(sys: MapSystem, words, arrays: list, boxed: bool) -> list:
     """Send row i of each array in `arrays` (shape (rows, ..., m); box corners
     lo, hi first when `boxed`, then point clouds) through word i's maps, last
-    symbol first, in place, `BLOCK_POINTS` rows at a time: per depth, the maps'
-    coefficients gathered by the symbol column form one map per kind for the
-    image kernels.  A symbol outside 1..k raises InadmissibleWord."""
+    symbol first, in place, `BLOCK_POINTS` rows at a time: per depth, the
+    `coefficient_tables` gathered by the symbol column form one map per kind
+    for the image kernels, whose coordinates are written back one by one.
+    A symbol outside 1..k raises InadmissibleWord."""
     words = np.asarray(words)
     low, high = (words.min(), words.max()) if words.size else (1, 1)
     if low < 1 or high > sys.k:
         raise InadmissibleWord(f"symbol {low if low < 1 else high} outside 1..{sys.k}")
-    kinds = np.array([f.kind for f in sys.maps])
-    stacks = {  # kind -> class, per-field coefficients of all k maps, symbols last (stand-ins elsewhere)
-        f.kind: (type(f), [np.moveaxis(np.array(v, dtype=float), 0, -1)
-                           for v in zip(*(astuple(g if g.kind == f.kind else f) for g in sys.maps))])
-        for f in sys.maps[::-1]
-    }
+    kinds, stacks = np.array([f.kind for f in sys.maps]), sys.coefficient_tables
     for start in range(0, words.shape[0], BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
         for t in range(words.shape[1] - 1, -1, -1):
@@ -385,7 +394,8 @@ def _reverse_rows(sys: MapSystem, words, arrays: list, boxed: bool) -> list:
                 images = [*_box_image(maps[0], xs[0], xs[1])] if boxed else []
                 images += [_point_image(f, x) for f, x in zip(maps[len(images) :], xs[len(images) :])]
                 for a, image in zip(arrays, images):
-                    a[rows] = np.stack(image, axis=-1)
+                    for j, column in enumerate(image):
+                        a[rows, ..., j] = column
     return arrays
 
 

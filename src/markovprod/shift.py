@@ -7,7 +7,7 @@ Provides:
   retained as an independent cross-check
 - the time-reversed transition matrix q_ij = (p_j / p_i) * p_ji
 - cylinder measures of the forward and inverse Markov measures
-- admissibility tests and seeded word sampling from next-state tables
+- admissibility tests and seeded word sampling from cumulative transition rows
 
 Symbols are 1-based integers throughout; a word is a tuple of symbols.
 """
@@ -309,16 +309,21 @@ def sample_words(
     """Vectorised batch of `count` words (rows) of the given length.
 
     Starts are stationary draws; column t takes the t-th `count` uniforms
-    of `default_rng(seed)`, k searches and one gather.  The words are a
-    (count, length) view of a (length, count) array in the smallest
-    unsigned dtype that holds k, so each symbol column is contiguous."""
+    u of `default_rng(seed)`, and each lane counts the entries s < k - 1 of
+    its state's cumulative row (summed as np.cumsum does) that are <= u, so
+    the temporaries are O(count + k).  The words are a (count, length) view
+    of a (length, count) array in the smallest unsigned dtype that holds k,
+    so each symbol column is contiguous."""
     if length <= 0 or count <= 0:
         raise ValueError("count and length must be positive")
     rng, buf = np.random.default_rng(seed), np.empty(count)
-    words = np.empty((length, count), dtype=np.min_scalar_type(shift.k))
+    words = np.zeros((length, count), dtype=np.min_scalar_type(shift.k))
     words[0] = _next_states(np.cumsum(shift.p)[None], rng.random(out=buf))[0]
-    cum, lanes = np.cumsum(shift.matrix(inverse), axis=1), np.arange(count)
+    M = shift.matrix(inverse)
     for t in range(1, length):
-        words[t] = _next_states(cum, rng.random(out=buf))[words[t - 1], lanes]
+        u, entry = rng.random(out=buf), M[:, 0].copy()  # entry s - 1 of every cumulative row
+        for s in range(1, shift.k):
+            words[t] += entry.take(words[t - 1]) <= u
+            entry += M[:, s]
     words += 1
     return words.T

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product, takewhile
@@ -1334,6 +1335,25 @@ def test_horizon_walk_maps_every_prefix_once(monkeypatch, prefix_samples, rows):
     assert len(mapped) > 4
 
 
+def test_coefficient_tables_are_built_once_per_system(monkeypatch):
+    # The sync trials and the horizon walk span several blocks each, every
+    # block one batched composition; all of them share the system's tables.
+    built = []
+    tables = MapSystem.__dict__["coefficient_tables"]
+    build = tables.func
+    monkeypatch.setattr(tables, "func", lambda sys: built.append(sys) or build(sys))
+    sys = moebius_pair()
+    sync_experiment(sys, 20, 6, seed=4, cloud_size=BIG_CLOUD)
+    verify_split_horizon(sys, (1, 1), (2, 1), 4, cloud_size=BIG_CLOUD)
+    batch_reverse_boxes(sys, np.ones((3, 2), dtype=np.int64))
+    assert len(built) == 1 and built[0] is sys
+    twin = replace(sys)
+    assert_bit_equal([a.tolist() for a in batch_reverse_boxes(twin, np.ones((3, 2), dtype=np.int64))],
+                     [a.tolist() for a in batch_reverse_boxes(sys, np.ones((3, 2), dtype=np.int64))])
+    assert len(built) == 2 and built[1] is twin
+    assert twin.coefficient_tables is not sys.coefficient_tables
+
+
 @pytest.mark.parametrize("factory", FLOAT_SYSTEMS)
 def test_decay_curves_match_the_per_trial_loops(factory):
     sys = factory()
@@ -1521,14 +1541,20 @@ def batch_outcome(fn, *args):
     return repr([a.tolist() for a in (out if isinstance(out, (tuple, list)) else [out])])
 
 
+class UncheckedSystem(MapSystem):
+    def __post_init__(self):
+        pass
+
+
 @settings(max_examples=60, deadline=None)
 @given(fs=map_tuples(), seed=st.integers(0, 2**32 - 1))
 def test_batches_match_on_random_maps(fs, seed):
-    # The batch compositions read only maps, k, dim and the ambient box, so
-    # these maps need not map [-1, 1]^m into itself; a pole met on the way
-    # must raise the same error in both.
+    # The batch compositions read only the maps and the ambient box, so a
+    # system built without its self-map check will do: these maps need not
+    # map [-1, 1]^m into itself; a pole met on the way must raise the same
+    # error in both.
     m = fs[0].dim
-    sys = SimpleNamespace(maps=fs, k=len(fs), dim=m, ambient=IntervalBox((-1.0,) * m, (1.0,) * m))
+    sys = UncheckedSystem(IntervalBox((-1.0,) * m, (1.0,) * m), fs, SimpleNamespace(k=len(fs)))
     rng = np.random.default_rng(seed)
     words = rng.integers(1, sys.k + 1, size=(12, 4))
     anchors = rng.uniform(-1.0, 1.0, size=(12, m))
@@ -1807,6 +1833,21 @@ def test_symbols_past_one_byte_keep_their_values():
         word = sample_word(shift, 200, start=290, inverse=inverse, seed=2)
         assert word == ref_sample_word(shift, 200, start=290, inverse=inverse, seed=2)
         assert max(word) > 255
+
+
+def test_sample_words_memory_does_not_grow_with_k():
+    # Each lane reads only its own state's row, so the temporaries are a few
+    # columns of `count` entries; a (k, count) next-state table per column
+    # would be 12 MB here.
+    shift, count = build_shift(lazy_cycle(300)), 20_000
+    tracemalloc.start()
+    try:
+        words = sample_words(shift, count, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * count * 8
+    assert words.tolist() == ref_sample_words(shift, count, 4).tolist()
 
 
 @pytest.mark.parametrize("depth", [0, 1, 6])
