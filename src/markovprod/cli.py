@@ -41,7 +41,7 @@ from .errors import ConfigError, MarkovProdError
 from .maps import IntervalBox, MapSystem
 from .markov_operator import build_initial, stability_experiment
 from .oracle import default_grid, verify_bounds
-from .shift import sample_words
+from .shift import STATIONARY_TOL, sample_words
 from .splitting import (
     SplitWitness,
     certify_split,
@@ -130,7 +130,7 @@ def _run_stationary(sys_: MapSystem, config: dict, block: dict, seed: int):
         "p_stationary": [float(v) for v in p],
         "inverse_matrix": [[float(v) for v in row] for row in shift.Q],
         "stationarity_residual": residual,
-        "verdict": HOLDS if residual <= 1e-12 else FAILS,
+        "verdict": HOLDS if residual <= STATIONARY_TOL else FAILS,
     }
     return results, {"stationary.csv": (["state", "p_stationary"], rows)}
 

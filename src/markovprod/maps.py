@@ -17,12 +17,14 @@ Provides:
 Every image comes from one of two kernels, `_point_image` and `_box_image`,
 in plain Python arithmetic.  A coordinate value is a float, a
 fractions.Fraction, or (batch helpers) a float array holding that coordinate
-for many rows, and then a coefficient may be one per row too; each row gets
-the bits of the scalar evaluation: every step is the same IEEE operation.
+for many rows, and then a coefficient may be one per row too, gathered by
+`_gathered` with as many axes as the coordinates; each row gets the bits of
+the scalar evaluation: every step is the same IEEE operation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import product
@@ -149,12 +151,25 @@ def _anywhere(mask) -> bool:
 
 
 def _point_image(f: Map, x) -> tuple:
-    """Per-coordinate image of the point x."""
+    """Per-coordinate image of the point x: b_r + (0 + A_r0 x_0 + A_r1 x_1
+    + ...), added from the left, or (a x + b) / (c x + d); for an affine
+    map `_gathered` as arrays, the (m, ...) array of all coordinates r."""
     if isinstance(f, AffineMap):
-        return tuple(b + sum(a * v for a, v in zip(row, x)) for row, b in zip(f.matrix, f.offset))
+        if isinstance(f.matrix, np.ndarray):
+            acc = 0 + f.matrix[:, 0] * x[0]
+            for j in range(1, len(x)):
+                acc += f.matrix[:, j] * x[j]
+            return f.offset + acc
+        image = []
+        for row, b in zip(f.matrix, f.offset):  # loops, not sum(): the orbit's settle calls this once a step
+            acc = 0
+            for a, v in zip(row, x):
+                acc = acc + a * v
+            image.append(b + acc)
+        return tuple(image)
     den = f.c * x[0] + f.d
-    # Inline rather than `_anywhere`: the scalar orbit calls this once a step.
-    if (den == 0).any() if isinstance(den, np.ndarray) else den == 0:
+    # Inline rather than `_anywhere`: the orbit calls this once a step.
+    if not den.all() if isinstance(den, np.ndarray) else den == 0:
         where = "a sample point" if isinstance(den, np.ndarray) else f"x = {x[0]!r}"
         raise DenominatorVanishes(f"denominator vanishes at {where}")
     return ((f.a * x[0] + f.b) / den,)
@@ -306,13 +321,19 @@ class MapSystem:
 
     @cached_property
     def coefficient_tables(self) -> dict:
-        """kind -> (map class, per-field float coefficients of all k maps, symbols
-        last, stand-ins at other kinds' symbols) for the batched compositions."""
-        return {
-            f.kind: (type(f), [np.moveaxis(np.array(v, dtype=float), 0, -1)
-                               for v in zip(*(astuple(g if g.kind == f.kind else f) for g in self.maps))])
-            for f in self.maps[::-1]
-        }
+        """kind -> (map class, float table (F, k), spans) for `_gathered`:
+        column s of the table holds the fields of map s + 1, flattened one
+        after another (a stand-in's at other kinds' symbols), and spans the
+        (start, stop, shape) of each field in a column."""
+        tables = {}
+        for f in self.maps[::-1]:
+            shapes = [np.shape(v) for v in astuple(f)]
+            stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+            columns = [np.concatenate([np.ravel(v) for v in astuple(g if g.kind == f.kind else f)])
+                       for g in self.maps]
+            tables[f.kind] = (type(f), np.array(columns, dtype=float).T.copy(),
+                              [(stop - math.prod(shape), stop, shape) for stop, shape in zip(stops, shapes)])
+        return tables
 
 
 def monotone_classes(sys: MapSystem) -> tuple[MonotoneType, ...]:
@@ -369,33 +390,53 @@ def reverse_box(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> I
     return orbit(box_image, sys.maps, reversed(word), sys.ambient if box is None else box)[-1]
 
 
+def _gathered(sys: MapSystem, symbols: np.ndarray, trailing: int = 0, reuse: list | None = None) -> list:
+    """[(rows, map, table)], one per kind among the maps of the 0-based
+    `symbols`: rows picks the symbols of that kind (a full slice when the
+    system has one kind), and the map holds their maps' coefficients, one per
+    symbol followed by `trailing` unit axes, as views of table, one `take` of
+    `coefficient_tables`.  `reuse`, what an earlier call on as many symbols
+    returned, is refilled in place and returned when the system has one kind."""
+    stacks = sys.coefficient_tables
+    if reuse and len(stacks) == 1:
+        (_, table, _), = stacks.values()
+        table.take(symbols, axis=-1, out=reuse[0][2], mode="clip")  # the symbols are in range
+        return reuse
+    kinds = np.array([f.kind for f in sys.maps])
+    gathered = []
+    for kind, (cls, table, spans) in stacks.items():
+        rows = slice(None) if len(stacks) == 1 else np.flatnonzero(kinds[symbols] == kind)
+        coefs = table.take(symbols[rows], axis=-1)
+        c = coefs.reshape(coefs.shape + (1,) * trailing)
+        gathered.append((rows, cls(*(c[i:j].reshape(shape + c.shape[1:]) for i, j, shape in spans)), coefs))
+    return gathered
+
+
 def _reverse_rows(sys: MapSystem, words, arrays: list, boxed: bool) -> list:
     """Send row i of each array in `arrays` (shape (rows, ..., m); box corners
     lo, hi first when `boxed`, then point clouds) through word i's maps, last
     symbol first, in place, `BLOCK_POINTS` rows at a time: per depth, the
-    `coefficient_tables` gathered by the symbol column form one map per kind
-    for the image kernels, whose coordinates are written back one by one.
-    A symbol outside 1..k raises InadmissibleWord."""
+    maps `_gathered` by the symbol column, one per kind, go to the image
+    kernels, whose coordinates are written back one by one.  A symbol outside
+    1..k raises InadmissibleWord."""
     words = np.asarray(words)
     low, high = (words.min(), words.max()) if words.size else (1, 1)
     if low < 1 or high > sys.k:
         raise InadmissibleWord(f"symbol {low if low < 1 else high} outside 1..{sys.k}")
-    kinds, stacks = np.array([f.kind for f in sys.maps]), sys.coefficient_tables
+    # Each array as (rows, points, m), so one coefficient per row fits them all.
+    views = [a.reshape(a.shape[0], math.prod(a.shape[1:-1]), a.shape[-1], copy=False) for a in arrays]
     for start in range(0, words.shape[0], BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
+        parts, maps = [v[block] for v in views], None
         for t in range(words.shape[1] - 1, -1, -1):
-            for kind, (cls, tables) in stacks.items():
-                rows = block if len(stacks) == 1 else start + np.flatnonzero(kinds[words[block, t] - 1] == kind)
-                symbols = words[rows, t] - 1
-                coefs = [v.take(symbols, axis=-1) for v in tables]
-                parts = [a[rows] for a in arrays]  # and one map per part, broadcast over its rows
-                maps = [cls(*(c.reshape(c.shape + (1,) * (a.ndim - 2)) for c in coefs)) for a in parts]
-                xs = [tuple(np.moveaxis(a, -1, 0)) for a in parts]
-                images = [*_box_image(maps[0], xs[0], xs[1])] if boxed else []
-                images += [_point_image(f, x) for f, x in zip(maps[len(images) :], xs[len(images) :])]
-                for a, image in zip(arrays, images):
+            maps = _gathered(sys, words[block, t] - 1, 1, maps)
+            for rows, f, _ in maps:
+                xs = [tuple(p[rows].transpose(2, 0, 1)) for p in parts]
+                images = [*_box_image(f, xs[0], xs[1])] if boxed else []
+                images += [_point_image(f, x) for x in xs[len(images) :]]
+                for p, image in zip(parts, images):
                     for j, column in enumerate(image):
-                        a[rows, ..., j] = column
+                        p[rows, :, j] = column
     return arrays
 
 

@@ -125,8 +125,16 @@ def _validate_pair(sys: MapSystem, word_a: Word, word_b: Word) -> tuple[Word, Wo
     return word_a, word_b
 
 
-def _injective_route(sys: MapSystem) -> bool:
-    return sys.dim == 1 and all(injective(f) for f in sys.maps)
+def _split_routes(sys: MapSystem) -> tuple[tuple[MonotoneType, ...], bool]:
+    """The system's common monotone classes and whether the injective 1-D
+    route applies; NotMonotoneSystem when neither gives a route."""
+    classes = monotone_classes(sys)
+    injective_1d = sys.dim == 1 and all(injective(f) for f in sys.maps)
+    if not classes and not injective_1d:
+        raise NotMonotoneSystem(
+            "system has no common monotone class and is not an injective 1-D system"
+        )
+    return classes, injective_1d
 
 
 def _boxes_separated(
@@ -144,17 +152,20 @@ def _boxes_separated(
 
 
 def _certify_boxes(
-    sys: MapSystem,
+    word_a: Word,
+    word_b: Word,
     box_a: IntervalBox,
     box_b: IntervalBox,
-    classes: tuple[MonotoneType, ...],
-    injective_1d: bool,
-) -> tuple[str, tuple[str, ...] | None] | None:
+    routes: tuple[tuple[MonotoneType, ...], bool],
+) -> SplitWitness | None:
+    """The pair as a witness certified by the first of the `_split_routes`
+    that separates its images box_a and box_b, or None."""
+    classes, injective_1d = routes
     for cls in classes:
         if _boxes_separated(box_a, box_b, cls.signs):
-            return MONOTONE_ORDER, cls.signs
+            return SplitWitness(word_a, word_b, box_a, box_b, MONOTONE_ORDER, cls.signs)
     if injective_1d and (box_a.hi[0] < box_b.lo[0] or box_b.hi[0] < box_a.lo[0]):
-        return INJECTIVE_1D, None
+        return SplitWitness(word_a, word_b, box_a, box_b, INJECTIVE_1D)
     return None
 
 
@@ -168,26 +179,10 @@ def certify_split(sys: MapSystem, word_a: Word, word_b: Word) -> SplitWitness | 
     of the two image intervals in either orientation already suffices.
     """
     word_a, word_b = _validate_pair(sys, word_a, word_b)
-    classes = monotone_classes(sys)
-    injective_1d = _injective_route(sys)
-    if not classes and not injective_1d:
-        raise NotMonotoneSystem(
-            "system has no common monotone class and is not an injective 1-D system"
-        )
+    routes = _split_routes(sys)
     box_a = forward_box_chain(sys, word_a)[-1]
     box_b = forward_box_chain(sys, word_b)[-1]
-    got = _certify_boxes(sys, box_a, box_b, classes, injective_1d)
-    if got is None:
-        return None
-    certified_by, signs = got
-    return SplitWitness(
-        word_a=word_a,
-        word_b=word_b,
-        box_a=box_a,
-        box_b=box_b,
-        certified_by=certified_by,
-        signs=signs,
-    )
+    return _certify_boxes(word_a, word_b, box_a, box_b, routes)
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13)
@@ -318,12 +313,7 @@ def search_witness(sys: MapSystem, max_len: int) -> SplitWitness | None:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    classes = monotone_classes(sys)
-    injective_1d = _injective_route(sys)
-    if not classes and not injective_1d:
-        raise NotMonotoneSystem(
-            "system has no common monotone class and is not an injective 1-D system"
-        )
+    routes = _split_routes(sys)
     P = sys.shift.P
     by_len: dict[int, list[tuple[Word, IntervalBox]]] = {
         1: [((j,), box_image(sys.maps[j - 1], sys.ambient)) for j in range(1, sys.k + 1)]
@@ -348,17 +338,9 @@ def search_witness(sys: MapSystem, max_len: int) -> SplitWitness | None:
                 for word_b, box_b in by_len[lb]:
                     if word_a[-1] != word_b[-1] or word_a == word_b:
                         continue
-                    got = _certify_boxes(sys, box_a, box_b, classes, injective_1d)
-                    if got is not None:
-                        certified_by, signs = got
-                        return SplitWitness(
-                            word_a=word_a,
-                            word_b=word_b,
-                            box_a=box_a,
-                            box_b=box_b,
-                            certified_by=certified_by,
-                            signs=signs,
-                        )
+                    witness = _certify_boxes(word_a, word_b, box_a, box_b, routes)
+                    if witness is not None:
+                        return witness
     return None
 
 

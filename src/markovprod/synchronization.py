@@ -16,14 +16,15 @@ of Propp & Wilson (1996): under the splitting condition, orbits driven by
 the same word merge exponentially fast, in floats bit for bit, so a
 segment started a few dozen steps early from a guess lands on the true
 orbit.  Numpy draws each super-chunk's uniforms and tabulates its next
-states; one kernel advances all its lanes together with the float
-expressions of a step-by-step evaluation, and a lane whose start is not,
-bit for bit, its predecessor's end is re-run from that end.  Once a round
-would re-run more than `_SCALAR_SHARE` of the lanes, as on orbits that never
-merge, the lanes are settled in order instead, each one that did not start
-at its predecessor's end stepped again one point at a time through the
-scalar image kernel.  Averages are therefore bit-identical to the plain
-per-step loop, without any array as long as the orbit.
+states; all its lanes advance together, each step applying the lanes' maps,
+gathered by state, through `maps._point_image`, the image kernel of every
+other path, and a lane whose start is not, bit for bit, its predecessor's
+end is re-run from that end.  Once a round would re-run more than
+`_SCALAR_SHARE` of the lanes, as on orbits that never merge, the lanes are
+settled in order instead, each one that did not start at its predecessor's
+end stepped again one point at a time through `maps.orbit` on the system's
+own maps.  Averages are therefore bit-identical to the plain per-step loop,
+without any array as long as the orbit.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from .errors import DegenerateCurve, InadmissibleWord, NoRowPositiveState, NotPr
 from .maps import (
     BLOCK_POINTS,
     MapSystem,
-    MoebiusMap,
+    _gathered,
     _point_image,
     advance_rows,
     batch_reverse_boxes,
     batch_reverse_points,
+    orbit,
     reverse_box,
     reverse_composition,
 )
@@ -313,73 +315,40 @@ _WARMUP = 64
 _SCALAR_SHARE = 0.25
 
 
-def _step_coefficients(sys: MapSystem):
-    """The maps' coefficients stacked by state for `_lockstep`.
-
-    In one dimension a (4, k) array of rows a, b, c, d, an affine map
-    x -> A x + o written as (A, o + 0.0, 0.0, 1.0): the denominator is
-    exactly 1.0, and adding 0.0 to o turns -0.0 into 0.0 as the `0 +` of
-    the affine form does, so every bit agrees.  Otherwise the (m, m, k)
-    matrices and the (m, k) offsets."""
-    if sys.dim == 1:
-        return np.array([
-            (f.a, f.b, f.c, f.d) if isinstance(f, MoebiusMap)
-            else (f.matrix[0][0], f.offset[0] + 0.0, 0.0, 1.0)
-            for f in sys.maps
-        ], dtype=float).T
-    return (np.array([f.matrix for f in sys.maps], dtype=float).transpose(1, 2, 0),
-            np.array([f.offset for f in sys.maps], dtype=float).T)
-
-
-def _lockstep(coeffs, table: np.ndarray, cols: np.ndarray, state: np.ndarray, point: np.ndarray, steps: int):
+def _lockstep(sys: MapSystem, table: np.ndarray, cols: np.ndarray, state: np.ndarray, point: np.ndarray, steps: int):
     """Advance one lane per entry of `cols` by `steps` steps, all together.
 
     Lane j starts in state `state[j]` (0-based) at the point `point[:, j]`;
     at its step t it moves from state s to `table[cols[j] + t, s]` and
-    applies that state's map, with the scalar float expressions of the
-    sequential orbit: (a x + b) / (c x + d) in one dimension, and
-    o_r + (0 + A_r0 x_0 + A_r1 x_1 + ...), summed from the left, in m.
-    Returns the states (steps, lanes) and the points (m, steps, lanes)
-    after each step."""
+    applies that state's map through `maps._point_image`, the maps
+    `_gathered` by state, one per kind.  Returns the states (steps, lanes)
+    and the points (m, steps, lanes) after each step."""
     k = table.shape[1]
-    flat = table.ravel()
-    pos = cols * k
+    flat, pos = table.ravel(), cols * k
     states = np.empty((steps, len(cols)), dtype=np.int64)
     points = np.empty((point.shape[0], steps, len(cols)))
-    x = point
+    x, maps = point, None
     for t in range(steps):
         state = flat.take(pos + state)
         pos += k
-        if isinstance(coeffs, np.ndarray):
-            a, b, c, d = coeffs.take(state, axis=1)
-            x = (a * x + b) / (c * x + d)
-        else:
-            matrix = coeffs[0].take(state, axis=2)
-            acc = 0.0 + matrix[:, 0] * x[0]
-            for col in range(1, len(x)):
-                acc += matrix[:, col] * x[col]
-            x = coeffs[1].take(state, axis=1) + acc
         states[t] = state
-        points[:, t] = x
+        maps = _gathered(sys, state, reuse=maps)
+        for rows, f, _ in maps:
+            points[:, t, rows] = _point_image(f, x[:, rows])
+        x = points[:, t]
     return states, points
 
 
-def _step_by_step(maps, table: np.ndarray, state: int, point: tuple):
+def _step_by_step(sys: MapSystem, table: np.ndarray, state: int, point: tuple):
     """The orbit from (state, point) one step per row of `table`, the
-    next-state rows of `_lockstep`, through `maps._point_image` on Python
-    floats: the states (steps,) and the points (m, steps)."""
-    k = table.shape[1]
-    flat = table.ravel().tolist()
-    image = _point_image
-    s, x = state, point
-    states, coords = [], []
-    push, extend = states.append, coords.extend
+    next-state rows of `_lockstep`, on Python floats: the states (steps,)
+    and the points (m, steps)."""
+    k, flat, symbols = table.shape[1], table.ravel().tolist(), []
     for pos in range(0, len(flat), k):
-        s = flat[pos + s]
-        x = image(maps[s], x)
-        push(s)
-        extend(x)
-    return states, np.array(coords, dtype=float).reshape(-1, len(point)).T
+        state = flat[pos + state]
+        symbols.append(state + 1)
+    points = orbit(_point_image, sys.maps, symbols, point)[1:]
+    return np.subtract(symbols, 1), np.array(list(zip(*points)), dtype=float).reshape(len(point), -1)
 
 
 def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
@@ -399,13 +368,10 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
     round that would re-run more than `_SCALAR_SHARE` of the lanes instead
     settles them one after another: each such lane that did not start at its
     settled predecessor's end is stepped again from there through
-    `_step_by_step`, with the maps as `_lockstep` applies them (in one
-    dimension, Moebius maps of its coefficient rows).  `reruns` counts the
-    lanes re-run."""
+    `_step_by_step`, on the system's own maps.  `reruns` counts the lanes
+    re-run."""
     k, lanes, length, warm = sys.k, _LANES, _LANE_STEPS, _WARMUP
     cums = np.cumsum(sys.shift.P, axis=1)
-    coeffs = _step_coefficients(sys)
-    scalar_maps = [MoebiusMap(*col) for col in coeffs.T.tolist()] if sys.dim == 1 else sys.maps
     start = np.array(x, dtype=float)[:, None]
     state = _next_states(np.cumsum(sys.shift.p)[None], rng.random(1))[0]
     point = start
@@ -420,7 +386,7 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
         cols = np.arange(count) * length
         guess = np.repeat(start, count, axis=1)
         guess[:, 0] = point[:, 0]
-        states, points = _lockstep(coeffs, table, cols, np.r_[state, np.zeros(count - 1, np.int64)],
+        states, points = _lockstep(sys, table, cols, np.r_[state, np.zeros(count - 1, np.int64)],
                                    guess, length + warm)
         # Each lane's (state, point) just before its first own step.
         start_s, start_p = (states[warm - 1].copy(), points[:, warm - 1].copy()) if warm else (
@@ -441,7 +407,7 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
                     if start_s[lane] == end_s and np.all(start_p[:, lane].view(np.int64) == end_p.view(np.int64)):
                         continue
                     own = cols[lane] + warm
-                    got_s, got_p = _step_by_step(scalar_maps, table[own : min(own + length, m)],
+                    got_s, got_p = _step_by_step(sys, table[own : min(own + length, m)],
                                                  int(end_s), tuple(end_p.tolist()))
                     states[warm : warm + len(got_s), lane] = got_s
                     points[:, warm : warm + len(got_s), lane] = got_p
@@ -449,7 +415,7 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
                 break
             start_s[bad], start_p[:, bad] = states[-1, bad - 1], points[:, -1, bad - 1]
             states[warm:, bad], points[:, warm:, bad] = _lockstep(
-                coeffs, table, cols[bad] + warm, start_s[bad], start_p[:, bad], length)
+                sys, table, cols[bad] + warm, start_s[bad], start_p[:, bad], length)
             rerun[bad] = True
         coords = np.concatenate(
             [points[:, :, 0], points[:, warm:, 1:].transpose(0, 2, 1).reshape(len(start), -1)], axis=1

@@ -57,6 +57,7 @@ def test_extra_runs_change_keys_of_a_shipped_config(tmp_path):
         "oracle-exact-diagonal_2d": "oracle",
         "split-sampled-diagonal_2d": "split-check",
         "split-exhaustive-diagonal_2d": "split-check",
+        "ergodic-product-diagonal_2d": "ergodic",
     }
     configs = Path(__file__).resolve().parents[1] / "configs"
     for label, (name, block, keys) in {
@@ -65,6 +66,7 @@ def test_extra_runs_change_keys_of_a_shipped_config(tmp_path):
         "oracle-exact-diagonal_2d": ("diagonal_2d", "oracle", {"exact": True}),
         "split-sampled-diagonal_2d": ("diagonal_2d", "split", {"prefix_samples": 500}),
         "split-exhaustive-diagonal_2d": ("diagonal_2d", "split", {"horizon": 14}),
+        "ergodic-product-diagonal_2d": ("diagonal_2d", "ergodic", {"phi": ["product", 1, 2]}),
     }.items():
         shipped = load_config(str(configs / f"{name}.json"))
         changed = load_config(str(runs[label].config))

@@ -394,17 +394,25 @@ def flip_1d():
     )
 
 
+def flip_mixed_1d():
+    # flip_1d with its identity written as the Moebius map (1 x + 0) / (0 x + 1):
+    # the lockstep and the scalar settle then meet both kinds of map.
+    flip = flip_1d()
+    return replace(flip, maps=(flip.maps[0], MoebiusMap(1, 0, 0, 1)))
+
+
 def orbit_reruns(sys, x, n, seed):
     rng = np.random.default_rng(seed)
     return sum(reruns for _, reruns in synchronization._orbit(sys, x, n, rng))
 
 
-def test_ergodic_average_reruns_lanes_of_orbits_that_never_merge(monkeypatch):
+@pytest.mark.parametrize("factory", [flip_1d, flip_mixed_1d])
+def test_ergodic_average_reruns_lanes_of_orbits_that_never_merge(monkeypatch, factory):
     # From 0.1 the orbit moves to 0.9 and 1 - 0.9 = 0.09999999999999998, and
     # never comes back to 0.1.  The shipped layout re-runs every lane whose
     # guess took the wrong number of flips; without a warm-up the guess
     # (state 0, 0.1) is wrong for every lane but each super-chunk's first.
-    sys = flip_1d()
+    sys = factory()
     ref = ref_ergodic_average(sys, (0.1,), ("coordinate", 1), 20_000, seed=4, target_samples=200)
     new = ergodic_average(sys, (0.1,), ("coordinate", 1), 20_000, seed=4, target_samples=200)
     assert_bit_equal(astuple(new), astuple(ref))

@@ -13,8 +13,8 @@ tree, and for each seed in `SEEDS`, the tool runs `python -m markovprod.cli`:
   config file that `workload_config` gives for it;
 - the `EXTRA_RUNS`, which cover code paths that neither of the above
   reaches: the float oracle, the oracle on a 2-D system, the sampled-prefix
-  horizon walk, and an exhaustive horizon walk in 2-D whose frontier spans
-  many blocks.
+  horizon walk, an exhaustive horizon walk in 2-D whose frontier spans
+  many blocks, and a 2-D ergodic average that reads both coordinates.
 
 Both trees run the same workload and extra config files, written once from
 this checkout; an invocation that repeats a shipped-config run of the tree
@@ -49,14 +49,17 @@ SEEDS = (0, 1)
 # runs are the only ones to byte-compare the float oracle, the oracle's
 # membership walk on a 2-D system (in both modes, and on the second
 # coordinate), the sampled horizon walk and a 2-D exhaustive walk over 16
-# times as many blocks.  Each entry is (label, subcommand, shipped config,
-# block -> keys replaced in that block, which is created if absent).
+# times as many blocks.  The shipped 2-D ergodic run reads coordinate 1 only,
+# so the last entry byte-compares the second coordinate of the 2-D orbit.
+# Each entry is (label, subcommand, shipped config, block -> keys replaced in
+# that block, which is created if absent).
 EXTRA_RUNS = (
     ("oracle-float-cantor_markov", "oracle", "cantor_markov.json", {"oracle": {"exact": False}}),
     ("oracle-float-s2-diagonal_2d", "oracle", "diagonal_2d.json", {"oracle": {"exact": False, "s": 2}}),
     ("oracle-exact-diagonal_2d", "oracle", "diagonal_2d.json", {"oracle": {"exact": True}}),
     ("split-sampled-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"prefix_samples": 500}}),
     ("split-exhaustive-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"horizon": 14}}),
+    ("ergodic-product-diagonal_2d", "ergodic", "diagonal_2d.json", {"ergodic": {"phi": ["product", 1, 2]}}),
 )
 
 
