@@ -18,11 +18,10 @@ from numbers import Real
 
 from .errors import ConfigError, MarkovProdError
 from .maps import AffineMap, IntervalBox, MapSystem, MoebiusMap, sign_table
+from .markov_operator import INITIAL_KINDS
 from .shift import build_shift
-
-NORMALIZE_MODES = ("primitive", "row-positive")
-INITIAL_KINDS = ("uniform", "corner", "center")
-PHI_KINDS = ("coordinate", "square", "product")
+from .splitting import NORMALIZE_MODES, PRIMITIVE_MODE
+from .synchronization import PHI_KINDS
 
 
 def _require_dict(value, path: str) -> dict:
@@ -229,7 +228,7 @@ _BLOCK_SCHEMA = {
         "max_len": (3, partial(_as_int, minimum=1)),
         "horizon": (10, partial(_as_int, minimum=0)),
         "cloud_size": (64, partial(_as_int, minimum=1)),
-        "normalize_mode": ("primitive", partial(_as_str, choices=NORMALIZE_MODES)),
+        "normalize_mode": (PRIMITIVE_MODE, partial(_as_str, choices=NORMALIZE_MODES)),
         "strict_endpoints": (False, _as_bool),
         "prefix_samples": (None, partial(_as_int, minimum=1)),
     },

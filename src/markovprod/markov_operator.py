@@ -131,6 +131,10 @@ def make_measure(sys: MapSystem, states, points, weights) -> StateTaggedMeasure:
     return StateTaggedMeasure(states=states, points=points, weights=weights, k=sys.k)
 
 
+# The kinds `build_initial` interprets, as configs name them.
+INITIAL_KINDS = ("uniform", "corner", "center")
+
+
 def build_initial(
     sys: MapSystem, kind: str, n_particles: int, seed: int = 0
 ) -> StateTaggedMeasure:

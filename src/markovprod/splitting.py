@@ -60,6 +60,8 @@ INJECTIVE_1D = "injective-1d"
 
 PRIMITIVE_MODE = "primitive"
 ROW_POSITIVE_MODE = "row-positive"
+# The modes `normalize_witness` interprets, as configs name them.
+NORMALIZE_MODES = (PRIMITIVE_MODE, ROW_POSITIVE_MODE)
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,14 @@ of Propp & Wilson (1996): under the splitting condition, orbits driven by
 the same word merge exponentially fast, in floats bit for bit, so a
 segment started a few dozen steps early from a guess lands on the true
 orbit.  Numpy draws each super-chunk's uniforms and tabulates its next
-states; all its lanes advance together, each step applying the lanes' maps,
-gathered by state, through `maps._point_image`, the image kernel of every
-other path, and a lane whose start is not, bit for bit, its predecessor's
-end is re-run from that end.  Once a round would re-run more than
-`_SCALAR_SHARE` of the lanes, as on orbits that never merge, the lanes are
-settled in order instead, each one that did not start at its predecessor's
-end stepped again one point at a time through `maps.orbit` on the system's
-own maps.  Averages are therefore bit-identical to the plain per-step loop,
-without any array as long as the orbit.
+states; all its lanes advance together in one pass, each step applying the
+lanes' maps, gathered by state, through `maps._point_image`, the image
+kernel of every other path, and each lane records its start as row 0.
+Then the lanes are settled in order: a lane whose start is not, bit for
+bit, its settled predecessor's end is stepped again from that end, one
+point at a time through `maps.orbit` on the system's own maps.  Averages
+are therefore bit-identical to the plain per-step loop, without any array
+as long as the orbit.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from .maps import (
     reverse_box,
     reverse_composition,
 )
+from .markov_operator import sample_target
 from .shift import PRIMITIVE, Word, _next_states, check_word, sample_word, sample_words
 from .splitting import ambient_cloud
 
@@ -284,6 +284,10 @@ class ErgodicResult:
     steps: int
 
 
+# The built-in observables of `test_function`, as configs name them.
+PHI_KINDS = ("coordinate", "square", "product")
+
+
 def test_function(spec):
     """Built-in observables: ("coordinate", s), ("square", s),
     ("product", s, t), all 1-based, or any callable on point tuples."""
@@ -309,46 +313,32 @@ def test_function(spec):
 _LANES = 256
 _LANE_STEPS = 256
 _WARMUP = 64
-# A round that re-runs more than this share of a super-chunk's lanes ends the
-# lockstep: each round costs a kernel pass of `_LANE_STEPS` steps, however
-# few lanes it settles, so on orbits that never merge the scalar steps win.
-_SCALAR_SHARE = 0.25
 
 
 def _lockstep(sys: MapSystem, table: np.ndarray, cols: np.ndarray, state: np.ndarray, point: np.ndarray, steps: int):
     """Advance one lane per entry of `cols` by `steps` steps, all together.
 
     Lane j starts in state `state[j]` (0-based) at the point `point[:, j]`;
-    at its step t it moves from state s to `table[cols[j] + t, s]` and
+    at its step t it moves from state s to `table[cols[j] + t - 1, s]` and
     applies that state's map through `maps._point_image`, the maps
-    `_gathered` by state, one per kind.  Returns the states (steps, lanes)
-    and the points (m, steps, lanes) after each step."""
+    `_gathered` by state, one per kind.  Returns the states (steps + 1,
+    lanes) and the points (m, steps + 1, lanes): row 0 is the start, row t
+    the lane after its step t."""
     k = table.shape[1]
     flat, pos = table.ravel(), cols * k
-    states = np.empty((steps, len(cols)), dtype=np.int64)
-    points = np.empty((point.shape[0], steps, len(cols)))
-    x, maps = point, None
-    for t in range(steps):
+    states = np.empty((steps + 1, len(cols)), dtype=np.int64)
+    points = np.empty((point.shape[0], steps + 1, len(cols)))
+    states[0], points[:, 0] = state, point
+    maps = None
+    for t in range(1, steps + 1):
         state = flat.take(pos + state)
         pos += k
         states[t] = state
         maps = _gathered(sys, state, reuse=maps)
+        x = points[:, t - 1]
         for rows, f, _ in maps:
             points[:, t, rows] = _point_image(f, x[:, rows])
-        x = points[:, t]
     return states, points
-
-
-def _step_by_step(sys: MapSystem, table: np.ndarray, state: int, point: tuple):
-    """The orbit from (state, point) one step per row of `table`, the
-    next-state rows of `_lockstep`, on Python floats: the states (steps,)
-    and the points (m, steps)."""
-    k, flat, symbols = table.shape[1], table.ravel().tolist(), []
-    for pos in range(0, len(flat), k):
-        state = flat[pos + state]
-        symbols.append(state + 1)
-    points = orbit(_point_image, sys.maps, symbols, point)[1:]
-    return np.subtract(symbols, 1), np.array(list(zip(*points)), dtype=float).reshape(len(point), -1)
 
 
 def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
@@ -358,18 +348,16 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
     The first piece is x, whose uniform draws the initial state.  Each
     later super-chunk draws its uniforms from `rng` in one call and
     tabulates the next state for every current state.  Its lanes advance
-    together through `_lockstep`: lane 0 from the true state and point,
+    together in one `_lockstep` pass: lane 0 from the true state and point,
     every later lane `_WARMUP` steps before its first own step from the
-    guess (state 0, x).  A lane whose (state, point) just before its first
-    own step is not, bit for bit, its predecessor's end is re-run from that
-    end, all such lanes together, round after round until every lane starts
-    at its predecessor's end.  Each round settles at least the first lane
-    that did not, so every point is the one a step-by-step loop gives.  A
-    round that would re-run more than `_SCALAR_SHARE` of the lanes instead
-    settles them one after another: each such lane that did not start at its
-    settled predecessor's end is stepped again from there through
-    `_step_by_step`, on the system's own maps.  `reruns` counts the lanes
-    re-run."""
+    guess (state 0, x), so its row `_WARMUP` is its start.  One array
+    comparison checks every lane's start against its predecessor's end, bit
+    for bit.  From the first lane that fails it, the lanes are settled in
+    order: each that did not start at its settled predecessor's end is
+    stepped again from there, its own table rows walked for the states and
+    its points through `maps.orbit` on the system's own maps.  So every
+    point is the one a step-by-step loop gives.  `reruns` counts the lanes
+    stepped again."""
     k, lanes, length, warm = sys.k, _LANES, _LANE_STEPS, _WARMUP
     cums = np.cumsum(sys.shift.P, axis=1)
     start = np.array(x, dtype=float)[:, None]
@@ -384,45 +372,32 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
         table = np.zeros((count * length + warm, k), dtype=steps.dtype)
         table[:m] = steps.T
         cols = np.arange(count) * length
-        guess = np.repeat(start, count, axis=1)
-        guess[:, 0] = point[:, 0]
         states, points = _lockstep(sys, table, cols, np.r_[state, np.zeros(count - 1, np.int64)],
-                                   guess, length + warm)
-        # Each lane's (state, point) just before its first own step.
-        start_s, start_p = (states[warm - 1].copy(), points[:, warm - 1].copy()) if warm else (
-            np.zeros(count, np.int64), np.repeat(start, count, axis=1))
-        rerun = np.zeros(count, dtype=bool)
-        while True:
-            ok = (start_s[1:] == states[-1, :-1]) & np.all(
-                start_p[:, 1:].view(np.int64) == points[:, -1, :-1].view(np.int64), axis=0)
-            bad = np.flatnonzero(~ok) + 1
-            if not len(bad):
-                break
-            if len(bad) > _SCALAR_SHARE * count:
-                # Every lane before the first bad one is settled; settle the
-                # rest in order, stepping again only those that did not start
-                # at their predecessor's end, over their own columns below m.
-                for lane in range(bad[0], count):
-                    end_s, end_p = states[-1, lane - 1], points[:, -1, lane - 1]
-                    if start_s[lane] == end_s and np.all(start_p[:, lane].view(np.int64) == end_p.view(np.int64)):
-                        continue
-                    own = cols[lane] + warm
-                    got_s, got_p = _step_by_step(sys, table[own : min(own + length, m)],
-                                                 int(end_s), tuple(end_p.tolist()))
-                    states[warm : warm + len(got_s), lane] = got_s
-                    points[:, warm : warm + len(got_s), lane] = got_p
-                    rerun[lane] = True
-                break
-            start_s[bad], start_p[:, bad] = states[-1, bad - 1], points[:, -1, bad - 1]
-            states[warm:, bad], points[:, warm:, bad] = _lockstep(
-                sys, table, cols[bad] + warm, start_s[bad], start_p[:, bad], length)
-            rerun[bad] = True
+                                   np.hstack([point, np.repeat(start, count - 1, axis=1)]), length + warm)
+        ok = (states[warm, 1:] == states[-1, :-1]) & np.all(
+            points[:, warm, 1:].view(np.int64) == points[:, -1, :-1].view(np.int64), axis=0)
+        bad = np.flatnonzero(~ok) + 1
+        reruns = 0
+        for lane in range(bad[0] if len(bad) else count, count):
+            end_s, end_p = int(states[-1, lane - 1]), points[:, -1, lane - 1]
+            if states[warm, lane] == end_s and np.all(points[:, warm, lane].view(np.int64) == end_p.view(np.int64)):
+                continue
+            # Only the last lane's own columns reach past m.
+            own = cols[lane] + warm
+            walk = [end_s]
+            for row in table[own : min(own + length, m)].tolist():
+                walk.append(row[walk[-1]])
+            got = orbit(_point_image, sys.maps, [s + 1 for s in walk[1:]], tuple(end_p.tolist()))
+            states[warm : warm + len(walk), lane] = walk
+            points[:, warm : warm + len(walk), lane] = list(zip(*got))
+            reruns += 1
         coords = np.concatenate(
-            [points[:, :, 0], points[:, warm:, 1:].transpose(0, 2, 1).reshape(len(start), -1)], axis=1
+            [points[:, 1:, 0], points[:, warm + 1 :, 1:].transpose(0, 2, 1).reshape(len(start), -1)], axis=1
         )[:, :m]
-        last = m - 1 - (count - 1) * length
-        state, point = states[last, -1:], points[:, last, -1:]
-        yield coords, int(rerun.sum())
+        last = m - (count - 1) * length
+        # Copies, so this super-chunk's arrays are freed once the next one's exist.
+        state, point = states[last, -1:].copy(), points[:, last, -1:].copy()
+        yield coords, reruns
 
 
 def _array_observable(phi):
@@ -474,7 +449,6 @@ def ergodic_average(
     batch_sums = np.zeros(BATCH_COUNT)
     total = 0.0
     observe = _array_observable(phi)
-    from .markov_operator import sample_target
 
     # Only the sampled law is integrated; its enclosures are not needed.  It
     # comes first, so the orbit's pieces reuse the memory of its word table.

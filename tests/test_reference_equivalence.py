@@ -425,27 +425,52 @@ def test_ergodic_average_reruns_lanes_of_orbits_that_never_merge(monkeypatch, fa
     assert orbit_reruns(sys, (0.1,), 1 + 40 * 32, seed=4) == 40 * 3
 
 
-def test_orbits_that_never_merge_take_one_kernel_pass_per_super_chunk(monkeypatch):
-    # Each lockstep round costs a kernel pass however few lanes it settles;
-    # once a round would re-run more than `_SCALAR_SHARE` of the lanes, the
-    # lanes are settled by scalar steps instead, so the orbit makes no
-    # round after the first pass.
-    sys = flip_1d()
+def counted_passes(monkeypatch):
+    """The list that gets one entry per `_lockstep` pass from now on."""
     passes = []
     kernel = synchronization._lockstep
     monkeypatch.setattr(synchronization, "_lockstep", lambda *args: passes.append(1) or kernel(*args))
+    return passes
+
+
+def test_orbits_that_never_merge_take_one_kernel_pass_per_super_chunk(monkeypatch):
+    # Almost half the lanes start from the wrong point, and each super-chunk
+    # still makes one kernel pass: its bad lanes are settled by scalar steps.
+    passes = counted_passes(monkeypatch)
     chunk = synchronization._LANES * synchronization._LANE_STEPS + synchronization._WARMUP
-    assert orbit_reruns(sys, (0.1,), 1 + 3 * chunk, seed=4) > 3 * synchronization._SCALAR_SHARE * synchronization._LANES
+    assert orbit_reruns(flip_1d(), (0.1,), 1 + 3 * chunk, seed=4) == 372
     assert len(passes) == 3
+
+
+def test_orbit_that_partly_merges_settles_after_one_pass_per_super_chunk(monkeypatch):
+    # On the shipped Markov system a few lanes miss their predecessor's end:
+    # they are stepped again after the one kernel pass of their super-chunk,
+    # and the average stays that of the step-by-step loop.
+    sys = build_system(load_config(str(CONFIGS / "cantor_markov.json")))
+    passes = counted_passes(monkeypatch)
+    assert orbit_reruns(sys, (0.3,), 70_000, seed=3) == 6
+    assert len(passes) == 2
+    new = ergodic_average(sys, (0.3,), ("coordinate", 1), 70_000, seed=3, target_samples=200)
+    ref = ref_ergodic_average(sys, (0.3,), ("coordinate", 1), 70_000, seed=3, target_samples=200)
+    assert_bit_equal(astuple(new), astuple(ref))
 
 
 @pytest.mark.parametrize("name", ["cantor_iid", "diagonal_2d"])
 def test_shipped_orbits_rerun_no_lane(name):
     # The lanes of the shipped iid systems merge within the warm-up, so the
-    # orbit's speed does not come from its fallback.
+    # orbit's speed does not come from its settle.
     config = load_config(str(CONFIGS / f"{name}.json"))
     block = config["experiments"]["ergodic"]
     assert orbit_reruns(build_system(config), tuple(block["x"]), block["n"], seed=3) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shipped_markov_orbit_reruns_lanes(seed):
+    # At the seeds of `tools/golden_diff.py` the shipped Markov orbit steps
+    # some lanes again, so the golden diff byte-compares the settle.
+    config = load_config(str(CONFIGS / "cantor_markov.json"))
+    block = config["experiments"]["ergodic"]
+    assert orbit_reruns(build_system(config), tuple(block["x"]), block["n"], seed=seed) > 0
 
 
 def test_square_observable_uses_python_power():

@@ -51,6 +51,9 @@ SEEDS = (0, 1)
 # coordinate), the sampled horizon walk and a 2-D exhaustive walk over 16
 # times as many blocks.  The shipped 2-D ergodic run reads coordinate 1 only,
 # so the last entry byte-compares the second coordinate of the 2-D orbit.
+# No extra run is needed for the orbit's settle: at each of `SEEDS` the
+# shipped cantor_markov `all` run steps some of its lanes again
+# (`test_shipped_markov_orbit_reruns_lanes`), so it byte-compares that path.
 # Each entry is (label, subcommand, shipped config, block -> keys replaced in
 # that block, which is created if absent).
 EXTRA_RUNS = (
