@@ -32,13 +32,14 @@ import sys as _sys
 import tempfile
 import traceback
 from collections.abc import Iterable
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .config import build_system, experiment_block, load_config
 from .errors import ConfigError, MarkovProdError
-from .maps import IntervalBox, MapSystem
+from .maps import MapSystem
 from .markov_operator import build_initial, stability_experiment
 from .oracle import default_grid, verify_bounds
 from .shift import STATIONARY_TOL, sample_words
@@ -86,21 +87,6 @@ def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _box_json(box: IntervalBox) -> dict:
-    return {"lo": [float(v) for v in box.lo], "hi": [float(v) for v in box.hi]}
-
-
-def _witness_json(w: SplitWitness) -> dict:
-    return {
-        "word_a": list(w.word_a),
-        "word_b": list(w.word_b),
-        "box_a": _box_json(w.box_a),
-        "box_b": _box_json(w.box_b),
-        "certified_by": w.certified_by,
-        "signs": list(w.signs) if w.signs is not None else None,
-    }
-
-
 def _resolve_witness(sys_: MapSystem, split_cfg: dict) -> SplitWitness | None:
     if split_cfg.get("word_a") is not None:
         return certify_split(sys_, tuple(split_cfg["word_a"]), tuple(split_cfg["word_b"]))
@@ -117,7 +103,7 @@ def _split_status(sys_: MapSystem, config: dict) -> dict:
         return {"certified": False, "detail": str(exc)}
     if witness is None:
         return {"certified": False, "detail": "no certificate found"}
-    return {"certified": True, "witness": _witness_json(witness)}
+    return {"certified": True, "witness": asdict(witness)}
 
 
 def _run_stationary(sys_: MapSystem, config: dict, block: dict, seed: int):
@@ -152,7 +138,7 @@ def _run_split_check(sys_: MapSystem, config: dict, block: dict, seed: int):
     )
     rows = [[n, status] for n, status in enumerate(report.per_n)]
     results = {
-        "witness": _witness_json(witness),
+        "witness": asdict(witness),
         "horizon": {
             "n_max": report.n_max,
             "exhaustive": report.exhaustive,
@@ -177,16 +163,12 @@ def _run_split_search(sys_: MapSystem, config: dict, block: dict, seed: int):
     if witness is None:
         detail = f"no witness up to length {block['max_len']}"
         return {"witness": None, "verdict": FAILS, "detail": detail}, {}
-    results = {"witness": _witness_json(witness), "verdict": HOLDS}
+    results = {"witness": asdict(witness), "verdict": HOLDS}
     try:
         pair = normalize_witness(
             sys_, witness, block["normalize_mode"], strict_endpoints=block["strict_endpoints"]
         )
-        results["normalized"] = {
-            "xi": list(pair.xi),
-            "eta": list(pair.eta),
-            "endpoint_matched": pair.endpoint_matched,
-        }
+        results["normalized"] = asdict(pair)
     except MarkovProdError as exc:
         results["normalized"] = None
         results["normalize_error"] = str(exc)
@@ -235,7 +217,7 @@ def _run_oracle(sys_: MapSystem, config: dict, block: dict, seed: int):
         "exact": report.exact,
         "rows": len(report.rows),
         "rows_failing": sum(1 for row in report.rows if not row.holds),
-        "witness": None if witness is None else _witness_json(witness),
+        "witness": None if witness is None else asdict(witness),
         "verdict": HOLDS if report.all_hold else FAILS,
     }
     return results, {"oracle.csv": (["ell", "x", "lhs", "rhs", "verdict"], rows)}
@@ -309,14 +291,7 @@ def _run_weak_hyp(sys_: MapSystem, config: dict, block: dict, seed: int):
     result = weak_hyperbolicity_experiment(
         sys_, block["trials"], block["depth"], block["tol"], seed=seed
     )
-    results = {
-        "fraction": result.fraction,
-        "trials": result.trials,
-        "depth": result.depth,
-        "tol": result.tol,
-        "max_diameter": result.max_diameter,
-    }
-    return results, {}
+    return asdict(result), {}
 
 
 def _run_coding(sys_: MapSystem, config: dict, block: dict, seed: int):
@@ -356,11 +331,7 @@ def _run_ergodic(sys_: MapSystem, config: dict, block: dict, seed: int):
         target_samples=block["target_samples"],
     )
     results = {
-        "average": result.average,
-        "batch_sigma": result.batch_sigma,
-        "reference": result.reference,
-        "reference_sigma": result.reference_sigma,
-        "steps": result.steps,
+        **asdict(result),
         "phi": list(block["phi"]),
         "x": [float(v) for v in x],
         "split": _split_status(sys_, config),

@@ -19,7 +19,7 @@ from numbers import Real
 from .errors import ConfigError, MarkovProdError
 from .maps import AffineMap, IntervalBox, MapSystem, MoebiusMap, sign_table
 from .markov_operator import INITIAL_KINDS
-from .shift import build_shift
+from .shift import ROW_SUM_TOL, build_shift
 from .splitting import NORMALIZE_MODES, PRIMITIVE_MODE
 from .synchronization import PHI_KINDS
 
@@ -99,7 +99,7 @@ def _validate_matrix(value, path: str) -> list[list[float]]:
             if v < 0.0:
                 raise ConfigError(f"{path} row {i} has a negative entry")
         total = sum(entries)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > ROW_SUM_TOL:
             raise ConfigError(f"{path} row {i} sums to {total!r}, expected 1.0")
         rows.append(entries)
     return rows

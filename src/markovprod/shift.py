@@ -7,13 +7,16 @@ Provides:
   retained as an independent cross-check
 - the time-reversed transition matrix q_ij = (p_j / p_i) * p_ji
 - cylinder measures of the forward and inverse Markov measures
-- admissibility tests and seeded word sampling from cumulative transition rows
+- admissibility tests and seeded word sampling: a uniform u moves state s to
+  the count of the first k - 1 entries of its cumulative row that are <= u,
+  for many lanes at once (`_next_lanes`) or along one walk (`_walk`)
 
 Symbols are 1-based integers throughout; a word is a tuple of symbols.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +33,6 @@ Word = tuple[int, ...]
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
-# Entries of one next-state table that sample_word walks as a Python list.
-WALK_CELLS = 1 << 20
 
 PRIMITIVE = "primitive"
 IRREDUCIBLE = "irreducible-not-primitive"
@@ -252,15 +253,28 @@ def cylinder_measure(shift: MarkovShiftSpec, word: Word, inverse: bool = False) 
     return out
 
 
-def _next_states(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row i: the 0-based next state from state i for each uniform in u, the
-    first s with u < cum[i, s] or else k - 1, in the smallest unsigned dtype
-    that holds k - 1.  Rows of cumulative sums are nondecreasing, so this is
-    the count of a row's first k - 1 entries that are <= u."""
-    table = np.empty((len(cum), len(u)), dtype=np.min_scalar_type(cum.shape[1] - 1))
-    for i, row in enumerate(cum[:, :-1]):
-        table[i] = np.searchsorted(row, u, side="right")
-    return table
+def _next_lanes(M: np.ndarray, states: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add to `out` the 0-based next state of each lane, from its state in
+    `states` for its uniform in `u`: the count of the first k - 1 entries of
+    that state's cumulative row of M, summed as np.cumsum does, that are <= u.
+    Only each lane's own entry is gathered, so the temporaries are
+    O(lanes + k)."""
+    entry = np.zeros(len(M))
+    for column in M.T[:-1]:
+        entry += column
+        out += entry.take(states) <= u
+    return out
+
+
+def _walk(cum: np.ndarray, cur: int, u) -> list[int]:
+    """The 0-based states of one walk from state `cur`, one per uniform in u:
+    from state s, the count of the first k - 1 entries of the cumulative
+    row cum[s] that are <= u, the rule of `_next_lanes`."""
+    hi, out = cum.shape[1] - 1, []
+    for v in u:
+        cur = bisect_right(cum[cur], v, 0, hi)
+        out.append(cur)
+    return out
 
 
 def sample_word(
@@ -276,26 +290,19 @@ def sample_word(
     The first symbol is `start` when given, otherwise drawn from the
     stationary vector; transitions follow P or, with inverse=True, Q.
     Identical (parameters, seed) give identical words: the `length`
-    uniforms of `default_rng(seed)` are tabulated and walked in blocks of
-    about WALK_CELLS / k steps, so beside the word itself the table takes
-    O(WALK_CELLS) memory for any k and length."""
+    uniforms of `default_rng(seed)`, the first drawn with or without a
+    start, are walked one at a time through `_walk`, so the memory is the
+    k x k cumulative rows and O(length) besides."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
         return ()
     if start is not None and not 1 <= int(start) <= shift.k:
         raise InadmissibleWord(f"start state {int(start)} outside 1..{shift.k}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(1)  # drawn with or without a start
-    cur = int(start) - 1 if start is not None else int(_next_states(np.cumsum(shift.p)[None], u)[0, 0])
-    cum, out = np.cumsum(shift.matrix(inverse), axis=1), [cur + 1]
-    block = max(1, WALK_CELLS // shift.k)
-    for done in range(1, length, block):
-        rows = _next_states(cum, rng.random(min(block, length - done))).tolist()
-        for t in range(len(rows[0])):
-            cur = rows[cur][t]
-            out.append(cur + 1)
-    return tuple(out)
+    u = np.random.default_rng(seed).random(length)
+    cur = int(start) - 1 if start is not None else _walk(np.cumsum(shift.p)[None], 0, u[:1])[0]
+    walk = _walk(np.cumsum(shift.matrix(inverse), axis=1), cur, u[1:])
+    return (cur + 1, *(s + 1 for s in walk))
 
 
 def sample_words(
@@ -309,21 +316,17 @@ def sample_words(
     """Vectorised batch of `count` words (rows) of the given length.
 
     Starts are stationary draws; column t takes the t-th `count` uniforms
-    u of `default_rng(seed)`, and each lane counts the entries s < k - 1 of
-    its state's cumulative row (summed as np.cumsum does) that are <= u, so
-    the temporaries are O(count + k).  The words are a (count, length) view
-    of a (length, count) array in the smallest unsigned dtype that holds k,
-    so each symbol column is contiguous."""
+    of `default_rng(seed)` through `_next_lanes`, so the temporaries are
+    O(count + k).  The words are a (count, length) view of a (length,
+    count) array in the smallest unsigned dtype that holds k, so each
+    symbol column is contiguous."""
     if length <= 0 or count <= 0:
         raise ValueError("count and length must be positive")
     rng, buf = np.random.default_rng(seed), np.empty(count)
     words = np.zeros((length, count), dtype=np.min_scalar_type(shift.k))
-    words[0] = _next_states(np.cumsum(shift.p)[None], rng.random(out=buf))[0]
+    _next_lanes(shift.p[None], np.zeros(count, np.int64), rng.random(out=buf), words[0])
     M = shift.matrix(inverse)
     for t in range(1, length):
-        u, entry = rng.random(out=buf), M[:, 0].copy()  # entry s - 1 of every cumulative row
-        for s in range(1, shift.k):
-            words[t] += entry.take(words[t - 1]) <= u
-            entry += M[:, s]
+        _next_lanes(M, words[t - 1], rng.random(out=buf), words[t])
     words += 1
     return words.T

@@ -15,13 +15,14 @@ The Birkhoff orbit runs as verified lockstep segments, the coupling idea
 of Propp & Wilson (1996): under the splitting condition, orbits driven by
 the same word merge exponentially fast, in floats bit for bit, so a
 segment started a few dozen steps early from a guess lands on the true
-orbit.  Numpy draws each super-chunk's uniforms and tabulates its next
-states; all its lanes advance together in one pass, each step applying the
-lanes' maps, gathered by state, through `maps._point_image`, the image
-kernel of every other path, and each lane records its start as row 0.
-Then the lanes are settled in order: a lane whose start is not, bit for
-bit, its settled predecessor's end is stepped again from that end, one
-point at a time through `maps.orbit` on the system's own maps.  Averages
+orbit.  Numpy draws each super-chunk's uniforms; all its lanes advance
+together in one pass, each step moving the lanes' states by
+`shift._next_lanes` and applying their maps, gathered by state, through
+`maps._point_image`, the image kernel of every other path, and each lane
+records its start as row 0.  Then the lanes are settled in order: a lane
+whose start is not, bit for bit, its settled predecessor's end is stepped
+again from that end, its states walked by `shift._walk` and its points
+one at a time through `maps.orbit` on the system's own maps.  Averages
 are therefore bit-identical to the plain per-step loop, without any array
 as long as the orbit.
 """
@@ -46,7 +47,7 @@ from .maps import (
     reverse_composition,
 )
 from .markov_operator import sample_target
-from .shift import PRIMITIVE, Word, _next_states, check_word, sample_word, sample_words
+from .shift import PRIMITIVE, Word, _next_lanes, _walk, check_word, sample_word, sample_words
 from .splitting import ambient_cloud
 
 FIT_FLOOR = 1e-14
@@ -315,24 +316,24 @@ _LANE_STEPS = 256
 _WARMUP = 64
 
 
-def _lockstep(sys: MapSystem, table: np.ndarray, cols: np.ndarray, state: np.ndarray, point: np.ndarray, steps: int):
+def _lockstep(sys: MapSystem, u: np.ndarray, cols: np.ndarray, state: np.ndarray, point: np.ndarray, steps: int):
     """Advance one lane per entry of `cols` by `steps` steps, all together.
 
-    Lane j starts in state `state[j]` (0-based) at the point `point[:, j]`;
-    at its step t it moves from state s to `table[cols[j] + t - 1, s]` and
-    applies that state's map through `maps._point_image`, the maps
-    `_gathered` by state, one per kind.  Returns the states (steps + 1,
-    lanes) and the points (m, steps + 1, lanes): row 0 is the start, row t
-    the lane after its step t."""
-    k = table.shape[1]
-    flat, pos = table.ravel(), cols * k
-    states = np.empty((steps + 1, len(cols)), dtype=np.int64)
-    points = np.empty((point.shape[0], steps + 1, len(cols)))
+    Lane j starts in state `state[j]` (0-based, int64) at the point
+    `point[:, j]`; at its step t it moves on the uniform `u[cols[j] + t - 1]`
+    by `shift._next_lanes` on P and applies that state's map through
+    `maps._point_image`, the maps `_gathered` by state, one per kind.
+    Returns the states (steps + 1, lanes), in the smallest unsigned dtype
+    that holds k - 1, and the points (m, steps + 1, lanes): row 0 is the
+    start, row t the lane after its step t."""
+    P, lanes, pos = sys.shift.P, len(cols), cols - 1
+    states = np.empty((steps + 1, lanes), dtype=np.min_scalar_type(sys.k - 1))
+    points = np.empty((point.shape[0], steps + 1, lanes))
     states[0], points[:, 0] = state, point
     maps = None
     for t in range(1, steps + 1):
-        state = flat.take(pos + state)
-        pos += k
+        pos += 1
+        state = _next_lanes(P, state, u.take(pos), np.zeros(lanes, np.int64))
         states[t] = state
         maps = _gathered(sys, state, reuse=maps)
         x = points[:, t - 1]
@@ -346,33 +347,31 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
     pieces: yields (coords, reruns), coords an (m, length) array.
 
     The first piece is x, whose uniform draws the initial state.  Each
-    later super-chunk draws its uniforms from `rng` in one call and
-    tabulates the next state for every current state.  Its lanes advance
-    together in one `_lockstep` pass: lane 0 from the true state and point,
-    every later lane `_WARMUP` steps before its first own step from the
-    guess (state 0, x), so its row `_WARMUP` is its start.  One array
+    later super-chunk draws its uniforms from `rng` in one call.  Its lanes
+    advance together in one `_lockstep` pass: lane 0 from the true state and
+    point, every later lane `_WARMUP` steps before its first own step from
+    the guess (state 0, x), so its row `_WARMUP` is its start.  One array
     comparison checks every lane's start against its predecessor's end, bit
     for bit.  From the first lane that fails it, the lanes are settled in
     order: each that did not start at its settled predecessor's end is
-    stepped again from there, its own table rows walked for the states and
-    its points through `maps.orbit` on the system's own maps.  So every
-    point is the one a step-by-step loop gives.  `reruns` counts the lanes
-    stepped again."""
-    k, lanes, length, warm = sys.k, _LANES, _LANE_STEPS, _WARMUP
+    stepped again from there, its own uniforms walked by `shift._walk` for
+    the states and its points through `maps.orbit` on the system's own
+    maps.  So every point is the one a step-by-step loop gives.  `reruns`
+    counts the lanes stepped again."""
+    lanes, length, warm = _LANES, _LANE_STEPS, _WARMUP
     cums = np.cumsum(sys.shift.P, axis=1)
     start = np.array(x, dtype=float)[:, None]
-    state = _next_states(np.cumsum(sys.shift.p)[None], rng.random(1))[0]
+    state = np.array(_walk(np.cumsum(sys.shift.p)[None], 0, rng.random(1)))
     point = start
     yield start, 0
     for done in range(1, n, lanes * length + warm):
         m = min(lanes * length + warm, n - done)
         count = max(1, -(-(m - warm) // length))
-        steps = _next_states(cums, rng.random(m))
-        # Columns past m, run only by the last lane after its last own step, hold state 0.
-        table = np.zeros((count * length + warm, k), dtype=steps.dtype)
-        table[:m] = steps.T
+        # Uniforms past m, read only by the last lane after its last own step, are 0.
+        u = np.zeros(count * length + warm)
+        rng.random(out=u[:m])
         cols = np.arange(count) * length
-        states, points = _lockstep(sys, table, cols, np.r_[state, np.zeros(count - 1, np.int64)],
+        states, points = _lockstep(sys, u, cols, np.r_[state, np.zeros(count - 1, np.int64)],
                                    np.hstack([point, np.repeat(start, count - 1, axis=1)]), length + warm)
         ok = (states[warm, 1:] == states[-1, :-1]) & np.all(
             points[:, warm, 1:].view(np.int64) == points[:, -1, :-1].view(np.int64), axis=0)
@@ -382,11 +381,9 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
             end_s, end_p = int(states[-1, lane - 1]), points[:, -1, lane - 1]
             if states[warm, lane] == end_s and np.all(points[:, warm, lane].view(np.int64) == end_p.view(np.int64)):
                 continue
-            # Only the last lane's own columns reach past m.
+            # Only the last lane's own uniforms reach past m.
             own = cols[lane] + warm
-            walk = [end_s]
-            for row in table[own : min(own + length, m)].tolist():
-                walk.append(row[walk[-1]])
+            walk = [end_s, *_walk(cums, end_s, u[own : min(own + length, m)])]
             got = orbit(_point_image, sys.maps, [s + 1 for s in walk[1:]], tuple(end_p.tolist()))
             states[warm : warm + len(walk), lane] = walk
             points[:, warm : warm + len(walk), lane] = list(zip(*got))
@@ -396,7 +393,7 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
         )[:, :m]
         last = m - (count - 1) * length
         # Copies, so this super-chunk's arrays are freed once the next one's exist.
-        state, point = states[last, -1:].copy(), points[:, last, -1:].copy()
+        state, point = states[last, -1:].astype(np.int64), points[:, last, -1:].copy()
         yield coords, reruns
 
 

@@ -1770,14 +1770,16 @@ def streams(monkeypatch, shift):
 
 
 @pytest.mark.parametrize("name", SAMPLER_CHAINS)
-def test_next_state_table_matches_the_scalar_search(name):
+def test_next_state_rule_matches_the_scalar_search(name):
     shift = build_shift(SAMPLER_CHAINS[name])
     k, u = shift.k, edge_uniforms(shift)
-    for cum in (np.cumsum(shift.p)[None], np.cumsum(shift.P, axis=1), np.cumsum(shift.Q, axis=1)):
-        table = shift_module._next_states(cum, u)
-        assert table.dtype == np.min_scalar_type(k - 1)
-        assert table.tolist() == [[min(int(np.searchsorted(row, x, side="right")), k - 1) for x in u]
-                                  for row in cum]
+    for M in (shift.p[None], shift.P, shift.Q):
+        cum = np.cumsum(M, axis=1)
+        for s, row in enumerate(cum):
+            want = [min(int(np.searchsorted(row, x, side="right")), k - 1) for x in u]
+            lanes = shift_module._next_lanes(M, np.full(len(u), s), u, np.zeros(len(u), np.int64))
+            assert lanes.tolist() == want
+            assert [shift_module._walk(cum, s, [x])[0] for x in u] == want
     if name == "ten_state_short_rows":
         assert np.all(np.cumsum(shift.P, axis=1)[:, -1] <= u.max())  # so the clip runs
 
@@ -1808,37 +1810,18 @@ def test_sample_words_match_the_compare_and_sum(monkeypatch, name, inverse):
                                                       seed=count + length).tolist()
 
 
-@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-@pytest.mark.parametrize("name", SAMPLER_CHAINS)
-def test_sample_word_walks_across_table_blocks(monkeypatch, name, inverse):
-    # Blocks of 1, 2 and 3 steps put block edges at every position of short words.
-    shift = build_shift(SAMPLER_CHAINS[name])
-    for cells in (shift.k, 2 * shift.k, 3 * shift.k):
-        monkeypatch.setattr(shift_module, "WALK_CELLS", cells)
-        for _ in streams(monkeypatch, shift):
-            for start in (None, shift.k):
-                for length in (1, 2, 3, 4, 7, 20):
-                    assert sample_word(shift, length, start=start, inverse=inverse, seed=length) == \
-                        ref_sample_word(shift, length, start=start, inverse=inverse, seed=length)
-        monkeypatch.undo()
-
-
-def test_long_words_on_many_states_keep_the_table_to_one_block_size(monkeypatch):
-    shift = build_shift(lazy_cycle(300))
-    length = 3 * shift_module.WALK_CELLS // shift.k + 5  # four blocks
-    sizes = []
-
-    def recording(cum, u):
-        sizes.append(cum.shape[0] * len(u))
-        return next_states(cum, u)
-
-    next_states = shift_module._next_states
-    monkeypatch.setattr(shift_module, "_next_states", recording)
+def test_long_words_on_many_states_build_no_next_state_table():
+    # A (k, length) table of next states would take 28 MiB here.
+    shift, length = build_shift(lazy_cycle(300)), 10_490
     for inverse in (False, True):
-        sizes.clear()
-        word = sample_word(shift, length, inverse=inverse, seed=9)
+        tracemalloc.start()
+        try:
+            word = sample_word(shift, length, inverse=inverse, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert word == ref_sample_word(shift, length, inverse=inverse, seed=9)
-        assert len(sizes) == 5 and max(sizes) <= shift_module.WALK_CELLS  # the start, then four blocks
+        assert peak < 4 * 2**20
 
 
 def test_sync_and_contract_words_are_the_per_seed_words(monkeypatch):
@@ -1858,7 +1841,6 @@ def test_sync_and_contract_words_are_the_per_seed_words(monkeypatch):
 
 def test_symbols_past_one_byte_keep_their_values():
     shift = build_shift(lazy_cycle(300))
-    assert shift_module._next_states(np.cumsum(shift.P, axis=1), np.array([0.5])).dtype == np.uint16
     for inverse in (False, True):
         words = sample_words(shift, 400, 30, inverse=inverse, seed=2)
         assert words.dtype == np.uint16 and words.max() > 255
