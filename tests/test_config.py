@@ -270,14 +270,14 @@ SYSTEM_REJECTIONS = [
     (_system(transition_matrix=[[0.5, "0.5"], [0.2, 0.8]]), "system.transition_matrix row 1 must be a number"),
     (_system(transition_matrix=[[0.5, 0.5], [0.2, 0.7]]),
      "system.transition_matrix row 2 sums to 0.8999999999999999, expected 1.0"),
-    # Past the library's row-sum tolerance, so it fails here, not in build_shift.
-    (_system(transition_matrix=[[0.5, 0.5000000005], [0.5, 0.5]]),
-     "system.transition_matrix row 1 sums to 1.0000000005, expected 1.0"),
     (_system(transition_matrix=[[1.5, -0.5], [0.2, 0.8]]), "system.transition_matrix row 1 has a negative entry"),
     (_system(ambient={"lo": [1.0], "hi": [0.0]}), "system.ambient coordinate 1 has lo >= hi"),
     (_system(ambient={"lo": [0.0], "hi": [True]}), "system.ambient.hi[0] must be a number"),
     (_system(maps=[{"kind": "moebius", "a": 1, "b": 0, "c": 0, "d": "3"}, SYSTEM["maps"][1]]),
      "system.maps[0].d must be a number"),
+    # Past the library's row-sum tolerance, so it fails here, not in build_shift.
+    (_system(transition_matrix=[[0.5, 0.5000000005], [0.5, 0.5]]),
+     "system.transition_matrix row 1 sums to 1.0000000005, expected 1.0"),
 ]
 
 

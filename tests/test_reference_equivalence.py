@@ -1810,6 +1810,28 @@ def test_sample_words_match_the_compare_and_sum(monkeypatch, name, inverse):
                                                       seed=count + length).tolist()
 
 
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("name", SAMPLER_CHAINS)
+def test_walks_split_at_any_step_resume_where_they_left_off(monkeypatch, name, inverse):
+    # A walk cut at step i and resumed from its last state is the whole walk,
+    # and a shorter word is the prefix of a longer one with the same seed.
+    shift = build_shift(SAMPLER_CHAINS[name])
+    cum = np.cumsum(shift.matrix(inverse), axis=1)
+    for _ in streams(monkeypatch, shift):
+        for start in (None, shift.k):
+            longest = sample_word(shift, 20, start=start, inverse=inverse, seed=5)
+            for length in (1, 2, 3, 4, 7, 20):
+                word = sample_word(shift, length, start=start, inverse=inverse, seed=length)
+                assert word == ref_sample_word(shift, length, start=start, inverse=inverse, seed=length)
+                assert sample_word(shift, length, start=start, inverse=inverse, seed=5) == longest[:length]
+        u = np.random.default_rng(7).random(20)
+        for s in range(shift.k):
+            whole = shift_module._walk(cum, s, u)
+            for i in range(1, len(u)):
+                head = shift_module._walk(cum, s, u[:i])
+                assert head + shift_module._walk(cum, head[-1], u[i:]) == whole
+
+
 def test_long_words_on_many_states_build_no_next_state_table():
     # A (k, length) table of next states would take 28 MiB here.
     shift, length = build_shift(lazy_cycle(300)), 10_490
