@@ -16,10 +16,10 @@ import math
 from functools import partial
 from numbers import Real
 
-from .errors import ConfigError, MarkovProdError
+from .errors import ConfigError, InvalidMatrix, MarkovProdError
 from .maps import AffineMap, IntervalBox, MapSystem, MoebiusMap, sign_table
 from .markov_operator import INITIAL_KINDS
-from .shift import ROW_SUM_TOL, build_shift
+from .shift import as_transition_matrix, build_shift
 from .splitting import NORMALIZE_MODES, PRIMITIVE_MODE
 from .synchronization import PHI_KINDS
 
@@ -94,14 +94,11 @@ def _validate_matrix(value, path: str) -> list[list[float]]:
     for i, row in enumerate(value, start=1):
         if not isinstance(row, list) or len(row) != k:
             raise ConfigError(f"{path} row {i} must have {k} entries")
-        entries = [_as_float(v, f"{path} row {i}") for v in row]
-        for v in entries:
-            if v < 0.0:
-                raise ConfigError(f"{path} row {i} has a negative entry")
-        total = sum(entries)
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise ConfigError(f"{path} row {i} sums to {total!r}, expected 1.0")
-        rows.append(entries)
+        rows.append([_as_float(v, f"{path} row {i}") for v in row])
+    try:
+        as_transition_matrix(rows)
+    except InvalidMatrix as exc:
+        raise ConfigError(f"{path} {exc}") from exc
     return rows
 
 

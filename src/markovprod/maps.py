@@ -110,10 +110,6 @@ class AffineMap:
     def dim(self) -> int:
         return len(self.offset)
 
-    @property
-    def kind(self) -> str:
-        return "affine"
-
 
 @dataclass(frozen=True)
 class MoebiusMap:
@@ -127,10 +123,6 @@ class MoebiusMap:
     @property
     def dim(self) -> int:
         return 1
-
-    @property
-    def kind(self) -> str:
-        return "moebius1d"
 
     def determinant(self):
         return self.a * self.d - self.b * self.c
@@ -321,18 +313,18 @@ class MapSystem:
 
     @cached_property
     def coefficient_tables(self) -> dict:
-        """kind -> (map class, float table (F, k), spans) for `_gathered`:
-        column s of the table holds the fields of map s + 1, flattened one
-        after another (a stand-in's at other kinds' symbols), and spans the
+        """map class -> (float table (F, k), spans) for `_gathered`: column s
+        of the table holds the fields of map s + 1, flattened one after
+        another (a stand-in's at other classes' symbols), and spans the
         (start, stop, shape) of each field in a column."""
         tables = {}
         for f in self.maps[::-1]:
             shapes = [np.shape(v) for v in astuple(f)]
             stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-            columns = [np.concatenate([np.ravel(v) for v in astuple(g if g.kind == f.kind else f)])
+            columns = [np.concatenate([np.ravel(v) for v in astuple(g if type(g) is type(f) else f)])
                        for g in self.maps]
-            tables[f.kind] = (type(f), np.array(columns, dtype=float).T.copy(),
-                              [(stop - math.prod(shape), stop, shape) for stop, shape in zip(stops, shapes)])
+            tables[type(f)] = (np.array(columns, dtype=float).T.copy(),
+                               [(stop - math.prod(shape), stop, shape) for stop, shape in zip(stops, shapes)])
         return tables
 
 
@@ -391,21 +383,22 @@ def reverse_box(sys: MapSystem, word: Word, box: IntervalBox | None = None) -> I
 
 
 def _gathered(sys: MapSystem, symbols: np.ndarray, trailing: int = 0, reuse: list | None = None) -> list:
-    """[(rows, map, table)], one per kind among the maps of the 0-based
-    `symbols`: rows picks the symbols of that kind (a full slice when the
-    system has one kind), and the map holds their maps' coefficients, one per
-    symbol followed by `trailing` unit axes, as views of table, one `take` of
-    `coefficient_tables`.  `reuse`, what an earlier call on as many symbols
-    returned, is refilled in place and returned when the system has one kind."""
+    """[(rows, map, table)], one per map class among the maps of the 0-based
+    `symbols`: rows picks the symbols of that class (a full slice when the
+    system has one class), and the map holds their maps' coefficients, one
+    per symbol followed by `trailing` unit axes, as views of table, one
+    `take` of `coefficient_tables`.  `reuse`, what an earlier call on as many
+    symbols returned, is refilled in place and returned when the system has
+    one class."""
     stacks = sys.coefficient_tables
     if reuse and len(stacks) == 1:
-        (_, table, _), = stacks.values()
+        (table, _), = stacks.values()
         table.take(symbols, axis=-1, out=reuse[0][2], mode="clip")  # the symbols are in range
         return reuse
-    kinds = np.array([f.kind for f in sys.maps])
     gathered = []
-    for kind, (cls, table, spans) in stacks.items():
-        rows = slice(None) if len(stacks) == 1 else np.flatnonzero(kinds[symbols] == kind)
+    for cls, (table, spans) in stacks.items():
+        ours = np.array([type(f) is cls for f in sys.maps])
+        rows = slice(None) if len(stacks) == 1 else np.flatnonzero(ours[symbols])
         coefs = table.take(symbols[rows], axis=-1)
         c = coefs.reshape(coefs.shape + (1,) * trailing)
         gathered.append((rows, cls(*(c[i:j].reshape(shape + c.shape[1:]) for i, j, shape in spans)), coefs))
@@ -416,7 +409,7 @@ def _reverse_rows(sys: MapSystem, words, arrays: list, boxed: bool) -> list:
     """Send row i of each array in `arrays` (shape (rows, ..., m); box corners
     lo, hi first when `boxed`, then point clouds) through word i's maps, last
     symbol first, in place, `BLOCK_POINTS` rows at a time: per depth, the
-    maps `_gathered` by the symbol column, one per kind, go to the image
+    maps `_gathered` by the symbol column, one per map class, go to the image
     kernels, whose coordinates are written back one by one.  A symbol outside
     1..k raises InadmissibleWord."""
     words = np.asarray(words)

@@ -24,17 +24,16 @@ m >= 2 the chained enclosure is an upper bound and rows are flagged accordingly.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import BudgetExceeded, HypothesisViolated, LengthMismatch
-from .maps import AffineMap, IntervalBox, Map, MapSystem, MoebiusMap, box_image, orbit
-from .shift import MarkovShiftSpec, Word, check_word
+from .maps import IntervalBox, Map, MapSystem, box_image, orbit
+from .shift import MarkovShiftSpec, Word, _path_product, check_word
 from .splitting import NormalizedPair
 
 ENUMERATION_BUDGET = 1 << 24
@@ -106,24 +105,18 @@ def _tables(shift: MarkovShiftSpec, exact: bool) -> _Tables:
     return _Tables(p=tuple(conv(v) for v in shift.p), q=q, one=conv(1))
 
 
-def _exact_map(f: Map) -> Map:
-    if isinstance(f, AffineMap):
-        return AffineMap(
-            tuple(tuple(Fraction(a) for a in row) for row in f.matrix),
-            tuple(Fraction(b) for b in f.offset),
-        )
-    return MoebiusMap(Fraction(f.a), Fraction(f.b), Fraction(f.c), Fraction(f.d))
+def _exact(obj):
+    """The map or box `obj` rebuilt from `astuple` with Fraction(v) for every leaf v."""
 
+    def leaves(v):
+        return tuple(map(leaves, v)) if isinstance(v, tuple) else Fraction(v)
 
-def _exact_box(box: IntervalBox) -> IntervalBox:
-    return IntervalBox(
-        tuple(Fraction(v) for v in box.lo), tuple(Fraction(v) for v in box.hi)
-    )
+    return type(obj)(*leaves(astuple(obj)))
 
 
 def _scalar_geometry(sys: MapSystem, exact: bool) -> tuple[tuple[Map, ...], IntervalBox]:
     if exact:
-        return tuple(_exact_map(f) for f in sys.maps), _exact_box(sys.ambient)
+        return tuple(map(_exact, sys.maps)), _exact(sys.ambient)
     return sys.maps, sys.ambient
 
 
@@ -132,11 +125,6 @@ def inverse_word_measure(tables: _Tables, word: Word):
     if not word:
         return tables.one
     return _path_product(tables.q, word, tables.p[word[0] - 1])
-
-
-def _path_product(q, word: Word, start):
-    """start * q_{W_0 W_1} * q_{W_1 W_2} * ... * q_{W_{N-2} W_{N-1}}, from the left."""
-    return math.prod((q[a - 1][b - 1] for a, b in zip(word, word[1:])), start=start)
 
 
 def _check_budget(k: int, n: int) -> None:

@@ -6,7 +6,8 @@ Provides:
 - stationary vectors by direct linear solve, with damped power iteration
   retained as an independent cross-check
 - the time-reversed transition matrix q_ij = (p_j / p_i) * p_ji
-- cylinder measures of the forward and inverse Markov measures
+- cylinder measures of the forward and inverse Markov measures, by the
+  path product the oracle shares, and the first row-positive state
 - admissibility tests and seeded word sampling: a uniform u moves state s to
   the count of the first k - 1 entries of its cumulative row that are <= u,
   for many lanes at once (`_next_lanes`) or along one walk (`_walk`)
@@ -16,6 +17,7 @@ Symbols are 1-based integers throughout; a word is a tuple of symbols.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import (
     InadmissibleWord,
     InvalidMatrix,
+    NoRowPositiveState,
     NotIrreducible,
     NumericalFailure,
     ZeroStationaryEntry,
@@ -235,6 +238,20 @@ def is_admissible(shift: MarkovShiftSpec, word: Word, inverse: bool = False) -> 
     return all(M[a - 1, b - 1] > 0.0 for a, b in zip(word, word[1:]))
 
 
+def row_positive_state(shift: MarkovShiftSpec) -> int:
+    """The first state, 1-based, whose transition row is strictly positive;
+    NoRowPositiveState when no state has one."""
+    for u, row in enumerate(shift.P, start=1):
+        if np.all(row > 0.0):
+            return u
+    raise NoRowPositiveState("no state has a strictly positive transition row")
+
+
+def _path_product(q, word: Word, start):
+    """start * q_{W_0 W_1} * q_{W_1 W_2} * ... * q_{W_{N-2} W_{N-1}}, from the left."""
+    return math.prod((q[a - 1][b - 1] for a, b in zip(word, word[1:])), start=start)
+
+
 def cylinder_measure(shift: MarkovShiftSpec, word: Word, inverse: bool = False) -> float:
     """Measure of the cylinder [a_0 ... a_l]: p_{a_0} prod_i M_{a_i a_{i+1}}.
 
@@ -244,13 +261,7 @@ def cylinder_measure(shift: MarkovShiftSpec, word: Word, inverse: bool = False) 
     word = check_word(word, shift.k)
     if not word:
         return 1.0
-    M = shift.matrix(inverse)
-    out = float(shift.p[word[0] - 1])
-    for a, b in zip(word, word[1:]):
-        out *= float(M[a - 1, b - 1])
-        if out == 0.0:
-            return 0.0
-    return out
+    return float(_path_product(shift.matrix(inverse), word, float(shift.p[word[0] - 1])))
 
 
 def _next_lanes(M: np.ndarray, states: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from .errors import (
     InadmissibleWord,
     LastSymbolMismatch,
     NoConnector,
-    NoRowPositiveState,
     NotMonotoneSystem,
     NotPrimitive,
 )
@@ -50,7 +49,7 @@ from .maps import (
     monotone_classes,
     orbit,
 )
-from .shift import PRIMITIVE, Word, check_word, is_admissible
+from .shift import PRIMITIVE, Word, check_word, is_admissible, row_positive_state
 
 SEARCH_BUDGET = 1 << 22
 HORIZON_BUDGET = 1 << 20
@@ -401,45 +400,29 @@ def normalize_witness(
     word_a, word_b = _validate_pair(sys, witness.word_a, witness.word_b)
     ra, rb = tuple(reversed(word_a)), tuple(reversed(word_b))
     la, lb = len(ra), len(rb)
-    k = shift.k
-    cap = k * k
+    cap = shift.k * shift.k
 
     if mode == PRIMITIVE_MODE:
         if shift.classification != PRIMITIVE:
             raise NotPrimitive("primitive-mode normalization requires a primitive shift")
         if la == lb and not strict_endpoints:
             return NormalizedPair(xi=ra, eta=rb, endpoint_matched=ra[-1] == rb[-1])
-        powers = _boolean_powers(shift.P, cap + abs(la - lb) + 1)
-        for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
-            ea, eb = n_total - la, n_total - lb
-            if max(ea, eb) >= len(powers):
-                break
-            for u in range(1, k + 1):
-                if powers[ea][u - 1, word_a[0] - 1] and powers[eb][u - 1, word_b[0] - 1]:
-                    path_a = _lex_min_path(powers, u, word_a[0], ea)
-                    path_b = _lex_min_path(powers, u, word_b[0], eb)
-                    xi = ra + tuple(reversed(path_a[:-1]))
-                    eta = rb + tuple(reversed(path_b[:-1]))
-                    return NormalizedPair(xi=xi, eta=eta, endpoint_matched=True)
-        raise NoConnector(f"no connector pair found within cap {cap}")
-
-    if mode == ROW_POSITIVE_MODE:
-        row_positive = [u for u in range(1, k + 1) if np.all(shift.P[u - 1] > 0.0)]
-        if not row_positive:
-            raise NoRowPositiveState("no state has a strictly positive transition row")
-        u = row_positive[0]
-        powers = _boolean_powers(shift.P, cap + abs(la - lb) + 1)
-        shared_last = word_a[-1]
-        for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
-            ea, eb = n_total - la, n_total - lb
-            if max(ea, eb) >= len(powers):
-                break
-            if powers[ea][shared_last - 1, u - 1] and powers[eb][shared_last - 1, u - 1]:
-                path_a = _lex_min_path(powers, shared_last, u, ea)
-                path_b = _lex_min_path(powers, shared_last, u, eb)
-                xi = (u,) + tuple(reversed(path_a[1:-1])) + ra
-                eta = (u,) + tuple(reversed(path_b[1:-1])) + rb
-                return NormalizedPair(xi=xi, eta=eta, endpoint_matched=ra[-1] == rb[-1])
-        raise NoConnector(f"no head connector found within cap {cap}")
-
-    raise ValueError(f"unknown mode {mode!r}")
+        ends, what = range(1, shift.k + 1), "connector pair"
+    elif mode == ROW_POSITIVE_MODE:
+        ends, what = (row_positive_state(shift),), "head connector"
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    head = mode == ROW_POSITIVE_MODE
+    # Connectors have at most cap + |la - lb| edges, all within `powers`.
+    powers = _boolean_powers(shift.P, cap + abs(la - lb) + 1)
+    for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
+        edges = (n_total - la, n_total - lb)
+        for u in ends:
+            # A head runs from the shared last witness symbol to u, a tail
+            # from u to the witness' first symbol.
+            links = [(w[-1], u) if head else (u, w[0]) for w in (word_a, word_b)]
+            if all(powers[e][a - 1, b - 1] for e, (a, b) in zip(edges, links)):
+                paths = [tuple(reversed(_lex_min_path(powers, a, b, e))) for e, (a, b) in zip(edges, links)]
+                xi, eta = (p + r[1:] if head else r[:-1] + p for p, r in zip(paths, (ra, rb)))
+                return NormalizedPair(xi=xi, eta=eta, endpoint_matched=xi[-1] == eta[-1])
+    raise NoConnector(f"no {what} found within cap {cap}")

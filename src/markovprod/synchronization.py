@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, InadmissibleWord, NoRowPositiveState, NotPrimitive
+from .errors import DegenerateCurve, InadmissibleWord, NotPrimitive
 from .maps import (
     BLOCK_POINTS,
     MapSystem,
@@ -47,7 +47,7 @@ from .maps import (
     reverse_composition,
 )
 from .markov_operator import sample_target
-from .shift import PRIMITIVE, Word, _next_lanes, _walk, check_word, sample_word, sample_words
+from .shift import PRIMITIVE, Word, _next_lanes, _walk, check_word, row_positive_state, sample_word, sample_words
 from .splitting import ambient_cloud
 
 FIT_FLOOR = 1e-14
@@ -144,11 +144,6 @@ class SyncResult:
         return sum(1 for f in self.fits if f.q_hat < 1.0) / len(self.fits)
 
 
-def _require_row_positive(sys: MapSystem) -> None:
-    if not any(np.all(sys.shift.P[u] > 0.0) for u in range(sys.k)):
-        raise NoRowPositiveState("no state has a strictly positive transition row")
-
-
 def sync_experiment(
     sys: MapSystem,
     trials: int,
@@ -157,7 +152,7 @@ def sync_experiment(
     cloud_size: int = DEFAULT_CLOUD,
 ) -> SyncResult:
     """Forward-image diameter decay over independently sampled words."""
-    _require_row_positive(sys)
+    row_positive_state(sys.shift)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     words = [sample_word(sys.shift, n_max, seed=seed + t) for t in range(trials)]
@@ -193,7 +188,7 @@ def measure_contraction_experiment(
 ) -> ContractionResult:
     """Lebesgue length of each coordinate projection of the forward
     enclosures, per sampled word, with per-coordinate rate fits."""
-    _require_row_positive(sys)
+    row_positive_state(sys.shift)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     words = [sample_word(sys.shift, n_max, seed=seed + t) for t in range(trials)]
@@ -322,7 +317,7 @@ def _lockstep(sys: MapSystem, u: np.ndarray, cols: np.ndarray, state: np.ndarray
     Lane j starts in state `state[j]` (0-based, int64) at the point
     `point[:, j]`; at its step t it moves on the uniform `u[cols[j] + t - 1]`
     by `shift._next_lanes` on P and applies that state's map through
-    `maps._point_image`, the maps `_gathered` by state, one per kind.
+    `maps._point_image`, the maps `_gathered` by state, one per map class.
     Returns the states (steps + 1, lanes), in the smallest unsigned dtype
     that holds k - 1, and the points (m, steps + 1, lanes): row 0 is the
     start, row t the lane after its step t."""

@@ -287,7 +287,7 @@ def test_bad_row_sum_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "system.transition_matrix row 1 sums to" in err
-    assert "expected 1.0" in err
+    assert "expected 1 within 1e-12" in err
 
 
 def test_nan_in_transition_matrix_is_config_error(tmp_path, capsys):

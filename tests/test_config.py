@@ -269,15 +269,22 @@ def _system(**changes) -> dict:
 SYSTEM_REJECTIONS = [
     (_system(transition_matrix=[[0.5, "0.5"], [0.2, 0.8]]), "system.transition_matrix row 1 must be a number"),
     (_system(transition_matrix=[[0.5, 0.5], [0.2, 0.7]]),
-     "system.transition_matrix row 2 sums to 0.8999999999999999, expected 1.0"),
-    (_system(transition_matrix=[[1.5, -0.5], [0.2, 0.8]]), "system.transition_matrix row 1 has a negative entry"),
+     "system.transition_matrix row 2 sums to 0.8999999999999999, expected 1 within 1e-12"),
+    (_system(transition_matrix=[[1.5, -0.5], [0.2, 0.8]]),
+     "system.transition_matrix row 1 has an entry outside [0, 1]"),
     (_system(ambient={"lo": [1.0], "hi": [0.0]}), "system.ambient coordinate 1 has lo >= hi"),
     (_system(ambient={"lo": [0.0], "hi": [True]}), "system.ambient.hi[0] must be a number"),
     (_system(maps=[{"kind": "moebius", "a": 1, "b": 0, "c": 0, "d": "3"}, SYSTEM["maps"][1]]),
      "system.maps[0].d must be a number"),
     # Past the library's row-sum tolerance, so it fails here, not in build_shift.
     (_system(transition_matrix=[[0.5, 0.5000000005], [0.5, 0.5]]),
-     "system.transition_matrix row 1 sums to 1.0000000005, expected 1.0"),
+     "system.transition_matrix row 1 sums to 1.0000000005, expected 1 within 1e-12"),
+    # Sums to 1 within the tolerance but has an entry above 1: the library's
+    # row rule, not a schema twin of it, rejects it under its key path.
+    (_system(transition_matrix=[[1.0000000000005, 0.0], [0.5, 0.5]]),
+     "system.transition_matrix row 1 has an entry outside [0, 1]"),
+    # Every row's entries are type-checked before any row-sum rule runs.
+    (_system(transition_matrix=[[0.5, 0.6], [0.5, "0.5"]]), "system.transition_matrix row 2 must be a number"),
 ]
 
 

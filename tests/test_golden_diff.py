@@ -58,6 +58,8 @@ def test_extra_runs_change_keys_of_a_shipped_config(tmp_path):
         "split-sampled-diagonal_2d": "split-check",
         "split-exhaustive-diagonal_2d": "split-check",
         "ergodic-product-diagonal_2d": "ergodic",
+        "split-row-positive-cantor_markov": "split-search",
+        "split-strict-cantor_markov": "split-search",
     }
     configs = Path(__file__).resolve().parents[1] / "configs"
     for label, (name, block, keys) in {
@@ -67,6 +69,8 @@ def test_extra_runs_change_keys_of_a_shipped_config(tmp_path):
         "split-sampled-diagonal_2d": ("diagonal_2d", "split", {"prefix_samples": 500}),
         "split-exhaustive-diagonal_2d": ("diagonal_2d", "split", {"horizon": 14}),
         "ergodic-product-diagonal_2d": ("diagonal_2d", "ergodic", {"phi": ["product", 1, 2]}),
+        "split-row-positive-cantor_markov": ("cantor_markov", "split", {"normalize_mode": "row-positive"}),
+        "split-strict-cantor_markov": ("cantor_markov", "split", {"strict_endpoints": True}),
     }.items():
         shipped = load_config(str(configs / f"{name}.json"))
         changed = load_config(str(runs[label].config))

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNIT, cantor_markov, diagonal_2d, moebius_pair, single_contraction
+from conftest import UNIT, cantor_markov, diagonal_2d, moebius_pair, random_irreducible, single_contraction
 from markovprod import (
     AffineMap,
     DenominatorVanishes,
@@ -41,6 +41,9 @@ from markovprod import (
     MapSystem,
     MarkovProdError,
     MoebiusMap,
+    NoConnector,
+    NoRowPositiveState,
+    NotPrimitive,
     apply_operator,
     build_initial,
     build_shift,
@@ -82,7 +85,7 @@ from markovprod.markov_operator import (
     _transport,
     _TransportPlan,
 )
-from markovprod.splitting import HorizonReport, ambient_cloud, verify_split_horizon
+from markovprod.splitting import HorizonReport, NormalizedPair, ambient_cloud, verify_split_horizon
 from markovprod.synchronization import (
     BATCH_COUNT,
     ContractionFit,
@@ -1003,7 +1006,7 @@ def ref_image_diameter_curve(sys, word, n_max, cloud_size):
 
 def ref_sync_experiment(sys, trials, n_max, seed, cloud_size):
     """sync_experiment as the per-trial loop it was."""
-    synchronization._require_row_positive(sys)
+    shift_module.row_positive_state(sys.shift)
     curves, fits = [], []
     for t in range(trials):
         curve = ref_image_diameter_curve(sys, ref_sample_word(sys.shift, n_max, seed=seed + t), n_max,
@@ -1016,7 +1019,7 @@ def ref_sync_experiment(sys, trials, n_max, seed, cloud_size):
 
 def ref_measure_contraction_experiment(sys, trials, n_max, seed):
     """measure_contraction_experiment as the per-trial loop it was."""
-    synchronization._require_row_positive(sys)
+    shift_module.row_positive_state(sys.shift)
     rows, fits = [], []
     for t in range(trials):
         word = ref_sample_word(sys.shift, n_max, seed=seed + t)
@@ -1907,3 +1910,152 @@ def test_batch_compositions_read_every_table_layout_alike(factory):
     for other in (np.ascontiguousarray(words), words.astype(np.int64)):
         assert_bit_equal(batch_reverse_points(sys, other, anchor).tolist(), points)
         assert_bit_equal([a.tolist() for a in batch_reverse_boxes(sys, other)], boxes)
+
+
+# --- chain rules with one home in `shift` -------------------------------------
+
+
+def ref_normalize_witness(sys, witness, mode=splitting.PRIMITIVE_MODE, *, strict_endpoints=False):
+    """normalize_witness as the two connector loops it was."""
+    shift = sys.shift
+    word_a, word_b = splitting._validate_pair(sys, witness.word_a, witness.word_b)
+    ra, rb = tuple(reversed(word_a)), tuple(reversed(word_b))
+    la, lb = len(ra), len(rb)
+    k = shift.k
+    cap = k * k
+
+    if mode == splitting.PRIMITIVE_MODE:
+        if shift.classification != shift_module.PRIMITIVE:
+            raise NotPrimitive("primitive-mode normalization requires a primitive shift")
+        if la == lb and not strict_endpoints:
+            return NormalizedPair(xi=ra, eta=rb, endpoint_matched=ra[-1] == rb[-1])
+        powers = splitting._boolean_powers(shift.P, cap + abs(la - lb) + 1)
+        for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
+            ea, eb = n_total - la, n_total - lb
+            if max(ea, eb) >= len(powers):
+                break
+            for u in range(1, k + 1):
+                if powers[ea][u - 1, word_a[0] - 1] and powers[eb][u - 1, word_b[0] - 1]:
+                    path_a = splitting._lex_min_path(powers, u, word_a[0], ea)
+                    path_b = splitting._lex_min_path(powers, u, word_b[0], eb)
+                    xi = ra + tuple(reversed(path_a[:-1]))
+                    eta = rb + tuple(reversed(path_b[:-1]))
+                    return NormalizedPair(xi=xi, eta=eta, endpoint_matched=True)
+        raise NoConnector(f"no connector pair found within cap {cap}")
+
+    if mode == splitting.ROW_POSITIVE_MODE:
+        row_positive = [u for u in range(1, k + 1) if np.all(shift.P[u - 1] > 0.0)]
+        if not row_positive:
+            raise NoRowPositiveState("no state has a strictly positive transition row")
+        u = row_positive[0]
+        powers = splitting._boolean_powers(shift.P, cap + abs(la - lb) + 1)
+        shared_last = word_a[-1]
+        for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
+            ea, eb = n_total - la, n_total - lb
+            if max(ea, eb) >= len(powers):
+                break
+            if powers[ea][shared_last - 1, u - 1] and powers[eb][shared_last - 1, u - 1]:
+                path_a = splitting._lex_min_path(powers, shared_last, u, ea)
+                path_b = splitting._lex_min_path(powers, shared_last, u, eb)
+                xi = (u,) + tuple(reversed(path_a[1:-1])) + ra
+                eta = (u,) + tuple(reversed(path_b[1:-1])) + rb
+                return NormalizedPair(xi=xi, eta=eta, endpoint_matched=ra[-1] == rb[-1])
+        raise NoConnector(f"no head connector found within cap {cap}")
+
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def either_outcome(fn, *args, **kwargs):
+    """What fn returns, or the type and message of the ValueError or domain
+    error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (MarkovProdError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+WITNESS_LENGTHS = [(1, 2), (2, 2), (3, 1), (2, 4)]
+MODES_TRIED = [splitting.PRIMITIVE_MODE, splitting.ROW_POSITIVE_MODE, "diagonal"]
+
+
+def random_witnesses(sys, rng):
+    """One pair of admissible words sharing their last symbol for each of
+    `WITNESS_LENGTHS`, or None where the chain has no such pair."""
+    by_last = {}
+    for n in {n for pair in WITNESS_LENGTHS for n in pair}:
+        for w in product(range(1, sys.k + 1), repeat=n):
+            if shift_module.is_admissible(sys.shift, w):
+                by_last.setdefault((n, w[-1]), []).append(w)
+    for la, lb in WITNESS_LENGTHS:
+        lasts = [a for a in range(1, sys.k + 1) if (la, a) in by_last and (lb, a) in by_last]
+        if not lasts:
+            yield None
+            continue
+        last = lasts[rng.integers(len(lasts))]
+        word_a, word_b = (ws[rng.integers(len(ws))] for ws in (by_last[la, last], by_last[lb, last]))
+        yield splitting.SplitWitness(word_a, word_b, sys.ambient, sys.ambient, "random")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_connector_search_matches_the_two_loops(k):
+    rng = np.random.default_rng(100 + k)
+    seen = set()
+    # A k-cycle is irreducible with period k, so never primitive.
+    for P in [np.roll(np.eye(k), 1, axis=1)] + [random_irreducible(seed + 1000 * k, k) for seed in range(300)]:
+        sys = MapSystem(shift=build_shift(P.tolist()), maps=(AffineMap(((0.5,),), (0.25,)),) * k, ambient=UNIT)
+        for witness in random_witnesses(sys, rng):
+            if witness is None:
+                continue
+            for mode, strict in product(MODES_TRIED, (False, True)):
+                new = either_outcome(splitting.normalize_witness, sys, witness, mode, strict_endpoints=strict)
+                ref = either_outcome(ref_normalize_witness, sys, witness, mode, strict_endpoints=strict)
+                assert new == ref, (P.tolist(), witness.word_a, witness.word_b, mode, strict)
+                seen.add((mode, new[0] if isinstance(new, tuple) else "pair"))
+    assert {(m, "pair") for m in MODES_TRIED[:2]} <= seen
+    assert {(MODES_TRIED[0], NotPrimitive), (MODES_TRIED[1], NoRowPositiveState),
+            (MODES_TRIED[2], ValueError)} <= seen
+
+
+def leaves_of(fields):
+    return [v for e in fields for v in leaves_of(e)] if isinstance(fields, tuple) else [fields]
+
+
+@pytest.mark.parametrize("factory", [affine_1d, affine_2d, affine_3d, moebius_pair, three_state_1d,
+                                     signed_zero_1d, flip_mixed_1d])
+def test_fraction_twin_keeps_every_class_and_makes_every_leaf_exact(factory):
+    sys = factory()
+    maps, ambient = oracle._scalar_geometry(sys, exact=True)
+    for twin, f in zip((*maps, ambient), (*sys.maps, sys.ambient), strict=True):
+        assert type(twin) is type(f)
+        exact = leaves_of(astuple(twin))
+        assert all(type(v) is Fraction for v in exact)
+        assert exact == [Fraction(v) for v in leaves_of(astuple(f))]
+
+
+def ref_cylinder_measure(shift, word, inverse=False):
+    """cylinder_measure as the loop with an early exit it was."""
+    word = shift_module.check_word(word, shift.k)
+    if not word:
+        return 1.0
+    M = shift.matrix(inverse)
+    out = float(shift.p[word[0] - 1])
+    for a, b in zip(word, word[1:]):
+        out *= float(M[a - 1, b - 1])
+        if out == 0.0:
+            return 0.0
+    return out
+
+
+@pytest.mark.parametrize("factory", [gapped_three_state_1d, three_state_1d, cantor_markov])
+def test_cylinder_measure_is_the_oracle_path_product(factory):
+    shift = factory().shift
+    tables = oracle._tables(shift, False)
+    zeros = 0
+    for n in range(6):
+        for w in product(range(1, shift.k + 1), repeat=n):
+            inverse = shift_module.cylinder_measure(shift, w, inverse=True)
+            assert_bit_equal(inverse, oracle.inverse_word_measure(tables, w))
+            assert_bit_equal(inverse, ref_cylinder_measure(shift, w, inverse=True))
+            assert_bit_equal(shift_module.cylinder_measure(shift, w), ref_cylinder_measure(shift, w))
+            zeros += inverse == 0.0
+    assert zeros > 0 or factory is cantor_markov

@@ -14,7 +14,8 @@ tree, and for each seed in `SEEDS`, the tool runs `python -m markovprod.cli`:
 - the `EXTRA_RUNS`, which cover code paths that neither of the above
   reaches: the float oracle, the oracle on a 2-D system, the sampled-prefix
   horizon walk, an exhaustive horizon walk in 2-D whose frontier spans
-  many blocks, and a 2-D ergodic average that reads both coordinates.
+  many blocks, a 2-D ergodic average that reads both coordinates, and
+  both connector searches of the split normalization.
 
 Both trees run the same workload and extra config files, written once from
 this checkout; an invocation that repeats a shipped-config run of the tree
@@ -50,7 +51,11 @@ SEEDS = (0, 1)
 # membership walk on a 2-D system (in both modes, and on the second
 # coordinate), the sampled horizon walk and a 2-D exhaustive walk over 16
 # times as many blocks.  The shipped 2-D ergodic run reads coordinate 1 only,
-# so the last entry byte-compares the second coordinate of the 2-D orbit.
+# so one entry byte-compares the second coordinate of the 2-D orbit.  Every
+# shipped split block normalizes an equal-length witness in the primitive
+# mode, which takes no connector, so the last two entries byte-compare the
+# head connector of the row-positive mode and the tail connector that
+# `strict_endpoints` forces.
 # No extra run is needed for the orbit's settle: at each of `SEEDS` the
 # shipped cantor_markov `all` run steps some of its lanes again
 # (`test_shipped_markov_orbit_reruns_lanes`), so it byte-compares that path.
@@ -63,6 +68,9 @@ EXTRA_RUNS = (
     ("split-sampled-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"prefix_samples": 500}}),
     ("split-exhaustive-diagonal_2d", "split-check", "diagonal_2d.json", {"split": {"horizon": 14}}),
     ("ergodic-product-diagonal_2d", "ergodic", "diagonal_2d.json", {"ergodic": {"phi": ["product", 1, 2]}}),
+    ("split-row-positive-cantor_markov", "split-search", "cantor_markov.json",
+     {"split": {"normalize_mode": "row-positive"}}),
+    ("split-strict-cantor_markov", "split-search", "cantor_markov.json", {"split": {"strict_endpoints": True}}),
 )
 
 
