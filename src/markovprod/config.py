@@ -352,8 +352,6 @@ def build_system(config: dict) -> MapSystem:
     try:
         shift = build_shift(block["transition_matrix"])
         system = MapSystem(shift=shift, maps=tuple(maps), ambient=ambient)
-    except ConfigError:
-        raise
     except MarkovProdError as exc:
         raise ConfigError(f"system block rejected: {exc}") from exc
     _check_blocks_fit(config["experiments"], system)

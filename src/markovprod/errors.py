@@ -60,10 +60,6 @@ class NoRowPositiveState(MarkovProdError):
     """No state has a strictly positive transition row."""
 
 
-class NoConnector(MarkovProdError):
-    """No admissible connector of compatible length within the search cap."""
-
-
 class BudgetExceeded(MarkovProdError):
     """Requested enumeration is larger than the configured budget."""
 

@@ -63,7 +63,7 @@ class IntervalBox:
         if len(self.lo) != len(self.hi) or not self.lo:
             raise ValueError("lo and hi must be nonempty tuples of equal length")
         for a, b in zip(self.lo, self.hi):
-            if a > b:
+            if not a <= b:  # so that NaN fails too
                 raise ValueError(f"interval [{a!r}, {b!r}] is empty")
 
     @property
@@ -252,10 +252,9 @@ def map_boxes(f: Map, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class MonotoneType:
-    """Common sign class of a system: pattern plus the per-map sign tables."""
+    """Common sign class of a system: its sign pattern."""
 
     signs: tuple[str, ...]
-    tables: tuple[tuple[tuple[str, ...], ...], ...]
 
 
 def _compatible(table: tuple[tuple[str, ...], ...], signs: tuple[str, ...]) -> bool:
@@ -292,7 +291,10 @@ class MapSystem:
         for i, f in enumerate(self.maps):
             if f.dim != self.ambient.dim:
                 raise ValueError(f"map {i + 1} has dimension {f.dim}, ambient {self.ambient.dim}")
-            image = box_image(f, self.ambient)
+            try:
+                image = box_image(f, self.ambient)
+            except ValueError as exc:  # a NaN endpoint, which no interval has
+                raise NotSelfMapping(f"map {i + 1} sends the ambient box to no interval: {exc}") from exc
             if not self.ambient.contains_box(image):
                 raise NotSelfMapping(
                     f"map {i + 1} sends the ambient box to {image.lo}..{image.hi}"
@@ -335,7 +337,7 @@ def monotone_classes(sys: MapSystem) -> tuple[MonotoneType, ...]:
     found = []
     for signs in product((PLUS, MINUS), repeat=sys.dim):
         if all(_compatible(t, signs) for t in tables):
-            found.append(MonotoneType(signs=signs, tables=tables))
+            found.append(MonotoneType(signs=signs))
     return tuple(found)
 
 

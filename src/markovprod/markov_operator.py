@@ -120,13 +120,13 @@ def make_measure(sys: MapSystem, states, points, weights) -> StateTaggedMeasure:
         raise ValueError("a measure needs at least one particle")
     if np.any(states < 1) or np.any(states > sys.k):
         raise ValueError(f"states must lie in 1..{sys.k}")
-    if np.any(weights <= 0.0):
+    if not np.all(weights > 0.0):  # each check fails on NaN
         raise ValueError("weights must be positive")
-    if abs(weights.sum() - 1.0) > MASS_TOL:
+    if not abs(weights.sum() - 1.0) <= MASS_TOL:
         raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
     lo = np.asarray(sys.ambient.lo, dtype=float)
     hi = np.asarray(sys.ambient.hi, dtype=float)
-    if np.any(points < lo) or np.any(points > hi):
+    if not np.all((lo <= points) & (points <= hi)):
         raise ValueError("some point lies outside the ambient box")
     return StateTaggedMeasure(states=states, points=points, weights=weights, k=sys.k)
 

@@ -8,9 +8,10 @@ Provides:
 - the time-reversed transition matrix q_ij = (p_j / p_i) * p_ji
 - cylinder measures of the forward and inverse Markov measures, by the
   path product the oracle shares, and the first row-positive state
-- admissibility tests and seeded word sampling: a uniform u moves state s to
-  the count of the first k - 1 entries of its cumulative row that are <= u,
-  for many lanes at once (`_next_lanes`) or along one walk (`_walk`)
+- admissibility tests and seeded word sampling: a uniform u moves row s of
+  the chain's walk table, whose row k draws the stationary start, to the
+  count of the first k - 1 entries of that row that are <= u, for many
+  lanes at once (`_next_lanes`) or along one walk (`_walk`)
 
 Symbols are 1-based integers throughout; a word is a tuple of symbols.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,16 +48,16 @@ def as_transition_matrix(matrix) -> np.ndarray:
     """Validate and return a row-stochastic matrix as a read-only float array.
 
     Entries must lie in [0, 1] and every row must sum to 1 within 1e-12.
-    Error messages name offending rows 1-based.
+    Error messages name offending rows 1-based.  NaN fails every check.
     """
     P = np.array(matrix, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
         raise InvalidMatrix(f"expected a nonempty square matrix, got shape {P.shape}")
     for i, row in enumerate(P):
-        if np.any(row < 0.0) or np.any(row > 1.0):
+        if not np.all((0.0 <= row) & (row <= 1.0)):
             raise InvalidMatrix(f"row {i + 1} has an entry outside [0, 1]")
         s = float(row.sum())
-        if abs(s - 1.0) > ROW_SUM_TOL:
+        if not abs(s - 1.0) <= ROW_SUM_TOL:
             raise InvalidMatrix(f"row {i + 1} sums to {s!r}, expected 1 within {ROW_SUM_TOL}")
     P.setflags(write=False)
     return P
@@ -136,9 +138,9 @@ def stationary_vector(matrix) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"stationary solve failed: {exc}") from exc
     residual = float(np.max(np.abs(p @ P - p)))
-    if residual > STATIONARY_TOL:
+    if not residual <= STATIONARY_TOL:
         raise NumericalFailure(f"stationary solve residual {residual!r} exceeds {STATIONARY_TOL}")
-    if np.any(p <= 0.0):
+    if not np.all(p > 0.0):
         raise NumericalFailure("stationary vector of an irreducible matrix must be positive")
     p.setflags(write=False)
     return p
@@ -176,11 +178,11 @@ def inverse_transition(matrix, p=None) -> np.ndarray:
     p = stationary_vector(P) if p is None else np.asarray(p, dtype=float)
     if p.shape != (P.shape[0],):
         raise InvalidMatrix(f"stationary vector shape {p.shape} does not match matrix {P.shape}")
-    if np.any(p <= 0.0):
+    if not np.all(p > 0.0):
         raise ZeroStationaryEntry("time reversal requires a strictly positive stationary vector")
     Q = (P.T * p[None, :]) / p[:, None]
     row_err = float(np.max(np.abs(Q.sum(axis=1) - 1.0)))
-    if row_err > 1e-10:
+    if not row_err <= 1e-10:
         raise InvalidMatrix(f"p is not stationary for the matrix (row defect {row_err!r})")
     # Rounding can overshoot the unit interval by an ulp; clamp so the result
     # revalidates as a transition matrix.
@@ -208,6 +210,17 @@ class MarkovShiftSpec:
 
     def matrix(self, inverse: bool = False) -> np.ndarray:
         return self.Q if inverse else self.P
+
+    @cached_property
+    def walk_table(self) -> np.ndarray:
+        """Read-only (2, k + 1, k) `np.cumsum` rows of P (index 0) and Q (1),
+        with row k that of p, the stationary start; built on first use."""
+        table = np.empty((2, self.k + 1, self.k))
+        for side, M in zip(table, (self.P, self.Q)):
+            np.cumsum(M, axis=1, out=side[:-1])
+            np.cumsum(self.p, out=side[-1])
+        table.setflags(write=False)
+        return table
 
 
 def build_shift(matrix) -> MarkovShiftSpec:
@@ -264,26 +277,22 @@ def cylinder_measure(shift: MarkovShiftSpec, word: Word, inverse: bool = False) 
     return float(_path_product(shift.matrix(inverse), word, float(shift.p[word[0] - 1])))
 
 
-def _next_lanes(M: np.ndarray, states: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add to `out` the 0-based next state of each lane, from its state in
-    `states` for its uniform in `u`: the count of the first k - 1 entries of
-    that state's cumulative row of M, summed as np.cumsum does, that are <= u.
-    Only each lane's own entry is gathered, so the temporaries are
-    O(lanes + k)."""
-    entry = np.zeros(len(M))
-    for column in M.T[:-1]:
-        entry += column
-        out += entry.take(states) <= u
+def _next_lanes(table: np.ndarray, states: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add to `out` the 0-based next state of each lane, from its row in
+    `states` of one direction's walk table for its uniform in `u`: the
+    count of the first k - 1 entries of that row that are <= u.  Only each
+    lane's own entry is gathered, so the temporaries are O(lanes)."""
+    for column in table.T[:-1]:
+        out += column.take(states) <= u
     return out
 
 
-def _walk(cum: np.ndarray, cur: int, u) -> list[int]:
-    """The 0-based states of one walk from state `cur`, one per uniform in u:
-    from state s, the count of the first k - 1 entries of the cumulative
-    row cum[s] that are <= u, the rule of `_next_lanes`."""
-    hi, out = cum.shape[1] - 1, []
+def _walk(table: np.ndarray, cur: int, u) -> list[int]:
+    """The 0-based states of one walk from row `cur` of one direction's walk
+    table, one per uniform in u, by the rule of `_next_lanes`."""
+    hi, out = table.shape[1] - 1, []
     for v in u:
-        cur = bisect_right(cum[cur], v, 0, hi)
+        cur = bisect_right(table[cur], v, 0, hi)
         out.append(cur)
     return out
 
@@ -302,8 +311,8 @@ def sample_word(
     stationary vector; transitions follow P or, with inverse=True, Q.
     Identical (parameters, seed) give identical words: the `length`
     uniforms of `default_rng(seed)`, the first drawn with or without a
-    start, are walked one at a time through `_walk`, so the memory is the
-    k x k cumulative rows and O(length) besides."""
+    start, are walked one at a time through `_walk` on the walk table, so
+    the memory is the table and O(length) besides."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
@@ -311,9 +320,9 @@ def sample_word(
     if start is not None and not 1 <= int(start) <= shift.k:
         raise InadmissibleWord(f"start state {int(start)} outside 1..{shift.k}")
     u = np.random.default_rng(seed).random(length)
-    cur = int(start) - 1 if start is not None else _walk(np.cumsum(shift.p)[None], 0, u[:1])[0]
-    walk = _walk(np.cumsum(shift.matrix(inverse), axis=1), cur, u[1:])
-    return (cur + 1, *(s + 1 for s in walk))
+    table = shift.walk_table[int(inverse)]
+    walk = _walk(table, shift.k, u) if start is None else [int(start) - 1, *_walk(table, int(start) - 1, u[1:])]
+    return tuple(s + 1 for s in walk)
 
 
 def sample_words(
@@ -326,18 +335,18 @@ def sample_words(
 ) -> np.ndarray:
     """Vectorised batch of `count` words (rows) of the given length.
 
-    Starts are stationary draws; column t takes the t-th `count` uniforms
-    of `default_rng(seed)` through `_next_lanes`, so the temporaries are
-    O(count + k).  The words are a (count, length) view of a (length,
-    count) array in the smallest unsigned dtype that holds k, so each
-    symbol column is contiguous."""
+    Column t, the starts from the walk table's row k first, takes the t-th
+    `count` uniforms of `default_rng(seed)` through `_next_lanes`, so the
+    temporaries are O(count).  The words are a (count, length) view of a
+    (length, count) array in the smallest unsigned dtype that holds k, so
+    each symbol column is contiguous."""
     if length <= 0 or count <= 0:
         raise ValueError("count and length must be positive")
     rng, buf = np.random.default_rng(seed), np.empty(count)
     words = np.zeros((length, count), dtype=np.min_scalar_type(shift.k))
-    _next_lanes(shift.p[None], np.zeros(count, np.int64), rng.random(out=buf), words[0])
-    M = shift.matrix(inverse)
+    table = shift.walk_table[int(inverse)]
+    _next_lanes(table, np.full(count, shift.k), rng.random(out=buf), words[0])
     for t in range(1, length):
-        _next_lanes(M, words[t - 1], rng.random(out=buf), words[t])
+        _next_lanes(table, words[t - 1], rng.random(out=buf), words[t])
     words += 1
     return words.T

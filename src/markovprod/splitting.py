@@ -30,7 +30,6 @@ from .errors import (
     BudgetExceeded,
     InadmissibleWord,
     LastSymbolMismatch,
-    NoConnector,
     NotMonotoneSystem,
     NotPrimitive,
 )
@@ -354,18 +353,13 @@ def _boolean_powers(P: np.ndarray, cap: int) -> list[np.ndarray]:
 
 
 def _lex_min_path(powers: list[np.ndarray], source: int, target: int, edges: int) -> list[int]:
-    """Lexicographically smallest admissible path with exactly `edges` edges."""
+    """Lexicographically smallest admissible path with exactly `edges` edges,
+    which the caller has checked exists (`powers[edges]`)."""
     path = [source]
-    cur = source
     for step in range(edges):
         remaining = edges - step - 1
-        for v in range(1, powers[1].shape[0] + 1):
-            if powers[1][cur - 1, v - 1] and powers[remaining][v - 1, target - 1]:
-                path.append(v)
-                cur = v
-                break
-        else:
-            raise NoConnector(f"no admissible path {source}->{target} with {edges} edges")
+        path.append(next(v for v in range(1, powers[1].shape[0] + 1)
+                         if powers[1][path[-1] - 1, v - 1] and powers[remaining][v - 1, target - 1]))
     return path
 
 
@@ -407,13 +401,15 @@ def normalize_witness(
             raise NotPrimitive("primitive-mode normalization requires a primitive shift")
         if la == lb and not strict_endpoints:
             return NormalizedPair(xi=ra, eta=rb, endpoint_matched=ra[-1] == rb[-1])
-        ends, what = range(1, shift.k + 1), "connector pair"
+        ends = range(1, shift.k + 1)
     elif mode == ROW_POSITIVE_MODE:
-        ends, what = (row_positive_state(shift),), "head connector"
+        ends = (row_positive_state(shift),)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     head = mode == ROW_POSITIVE_MODE
-    # Connectors have at most cap + |la - lb| edges, all within `powers`.
+    # Connectors have at most cap + |la - lb| edges, all within `powers`.  Both
+    # modes need a primitive chain (a row-positive state has a self-loop), so
+    # by Wielandt's bound both connectors exist once each has cap edges.
     powers = _boolean_powers(shift.P, cap + abs(la - lb) + 1)
     for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
         edges = (n_total - la, n_total - lb)
@@ -425,4 +421,3 @@ def normalize_witness(
                 paths = [tuple(reversed(_lex_min_path(powers, a, b, e))) for e, (a, b) in zip(edges, links)]
                 xi, eta = (p + r[1:] if head else r[:-1] + p for p, r in zip(paths, (ra, rb)))
                 return NormalizedPair(xi=xi, eta=eta, endpoint_matched=xi[-1] == eta[-1])
-    raise NoConnector(f"no {what} found within cap {cap}")

@@ -16,12 +16,13 @@ of Propp & Wilson (1996): under the splitting condition, orbits driven by
 the same word merge exponentially fast, in floats bit for bit, so a
 segment started a few dozen steps early from a guess lands on the true
 orbit.  Numpy draws each super-chunk's uniforms; all its lanes advance
-together in one pass, each step moving the lanes' states by
-`shift._next_lanes` and applying their maps, gathered by state, through
-`maps._point_image`, the image kernel of every other path, and each lane
-records its start as row 0.  Then the lanes are settled in order: a lane
-whose start is not, bit for bit, its settled predecessor's end is stepped
-again from that end, its states walked by `shift._walk` and its points
+together in one pass, each step reading the lanes' uniforms as one strided
+view, moving their states by `shift._next_lanes` on the chain's walk table
+and applying their maps, gathered by state, through `maps._point_image`,
+the image kernel of every other path, and each lane records its start as
+row 0.  Then the lanes are settled in order: a lane whose start is not,
+bit for bit, its settled predecessor's end is stepped again from that
+end, its states walked by `shift._walk` on the same table and its points
 one at a time through `maps.orbit` on the system's own maps.  Averages
 are therefore bit-identical to the plain per-step loop, without any array
 as long as the orbit.
@@ -311,26 +312,25 @@ _LANE_STEPS = 256
 _WARMUP = 64
 
 
-def _lockstep(sys: MapSystem, u: np.ndarray, cols: np.ndarray, state: np.ndarray, point: np.ndarray, steps: int):
-    """Advance one lane per entry of `cols` by `steps` steps, all together.
+def _lockstep(sys: MapSystem, u: np.ndarray, stride: int, state: np.ndarray, point: np.ndarray, steps: int):
+    """Advance one lane per entry of `state` by `steps` steps, all together.
 
-    Lane j starts in state `state[j]` (0-based, int64) at the point
-    `point[:, j]`; at its step t it moves on the uniform `u[cols[j] + t - 1]`
-    by `shift._next_lanes` on P and applies that state's map through
-    `maps._point_image`, the maps `_gathered` by state, one per map class.
-    Returns the states (steps + 1, lanes), in the smallest unsigned dtype
-    that holds k - 1, and the points (m, steps + 1, lanes): row 0 is the
-    start, row t the lane after its step t."""
-    P, lanes, pos = sys.shift.P, len(cols), cols - 1
-    states = np.empty((steps + 1, lanes), dtype=np.min_scalar_type(sys.k - 1))
+    Lane j starts in state `state[j]` (0-based) at the point `point[:, j]`;
+    at its step t it moves on the uniform `u[j * stride + t - 1]`, read for
+    all lanes as one strided view, by `shift._next_lanes` on the forward walk
+    table and applies that state's map through `maps._point_image`, the maps
+    `_gathered` by state, one per map class.  Returns the states (steps + 1,
+    lanes), in the smallest unsigned dtype that holds k - 1, and the points
+    (m, steps + 1, lanes): row 0 is the start, row t the lane after its
+    step t."""
+    table, lanes = sys.shift.walk_table[0], len(state)
+    states = np.zeros((steps + 1, lanes), dtype=np.min_scalar_type(sys.k - 1))
     points = np.empty((point.shape[0], steps + 1, lanes))
     states[0], points[:, 0] = state, point
     maps = None
     for t in range(1, steps + 1):
-        pos += 1
-        state = _next_lanes(P, state, u.take(pos), np.zeros(lanes, np.int64))
-        states[t] = state
-        maps = _gathered(sys, state, reuse=maps)
+        _next_lanes(table, states[t - 1], u[t - 1 :: stride][:lanes], states[t])
+        maps = _gathered(sys, states[t], reuse=maps)
         x = points[:, t - 1]
         for rows, f, _ in maps:
             points[:, t, rows] = _point_image(f, x[:, rows])
@@ -354,9 +354,9 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
     maps.  So every point is the one a step-by-step loop gives.  `reruns`
     counts the lanes stepped again."""
     lanes, length, warm = _LANES, _LANE_STEPS, _WARMUP
-    cums = np.cumsum(sys.shift.P, axis=1)
+    table = sys.shift.walk_table[0]
     start = np.array(x, dtype=float)[:, None]
-    state = np.array(_walk(np.cumsum(sys.shift.p)[None], 0, rng.random(1)))
+    state = np.array(_walk(table, sys.k, rng.random(1)))
     point = start
     yield start, 0
     for done in range(1, n, lanes * length + warm):
@@ -365,8 +365,7 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
         # Uniforms past m, read only by the last lane after its last own step, are 0.
         u = np.zeros(count * length + warm)
         rng.random(out=u[:m])
-        cols = np.arange(count) * length
-        states, points = _lockstep(sys, u, cols, np.r_[state, np.zeros(count - 1, np.int64)],
+        states, points = _lockstep(sys, u, length, np.r_[state, np.zeros(count - 1, state.dtype)],
                                    np.hstack([point, np.repeat(start, count - 1, axis=1)]), length + warm)
         ok = (states[warm, 1:] == states[-1, :-1]) & np.all(
             points[:, warm, 1:].view(np.int64) == points[:, -1, :-1].view(np.int64), axis=0)
@@ -377,8 +376,8 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
             if states[warm, lane] == end_s and np.all(points[:, warm, lane].view(np.int64) == end_p.view(np.int64)):
                 continue
             # Only the last lane's own uniforms reach past m.
-            own = cols[lane] + warm
-            walk = [end_s, *_walk(cums, end_s, u[own : min(own + length, m)])]
+            own = lane * length + warm
+            walk = [end_s, *_walk(table, end_s, u[own : min(own + length, m)])]
             got = orbit(_point_image, sys.maps, [s + 1 for s in walk[1:]], tuple(end_p.tolist()))
             states[warm : warm + len(walk), lane] = walk
             points[:, warm : warm + len(walk), lane] = list(zip(*got))
@@ -388,7 +387,7 @@ def _orbit(sys: MapSystem, x: tuple, n: int, rng: np.random.Generator):
         )[:, :m]
         last = m - (count - 1) * length
         # Copies, so this super-chunk's arrays are freed once the next one's exist.
-        state, point = states[last, -1:].astype(np.int64), points[:, last, -1:].copy()
+        state, point = states[last, -1:].copy(), points[:, last, -1:].copy()
         yield coords, reruns
 
 

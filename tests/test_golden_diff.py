@@ -5,7 +5,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from golden_diff import compare_dirs, extra_invocations  # noqa: E402
+from golden_diff import THREE_STATE, compare_dirs, extra_invocations  # noqa: E402
 from markovprod.config import experiment_block, load_config  # noqa: E402
 
 
@@ -60,6 +60,9 @@ def test_extra_runs_change_keys_of_a_shipped_config(tmp_path):
         "ergodic-product-diagonal_2d": "ergodic",
         "split-row-positive-cantor_markov": "split-search",
         "split-strict-cantor_markov": "split-search",
+        "ergodic-three-state-cantor_markov": "ergodic",
+        "sync-three-state-cantor_markov": "sync",
+        "weak-hyp-three-state-cantor_markov": "weak-hyp",
     }
     configs = Path(__file__).resolve().parents[1] / "configs"
     for label, (name, block, keys) in {
@@ -78,3 +81,16 @@ def test_extra_runs_change_keys_of_a_shipped_config(tmp_path):
         assert {**section, **keys} != section
         shipped["experiments"][block] = {**section, **keys}
         assert changed == shipped
+
+
+def test_three_state_runs_replace_the_system_block(tmp_path):
+    # Three states and two map classes, where every shipped config has two
+    # states and one class; the experiment blocks stay cantor_markov's.
+    runs = [inv for inv in extra_invocations(tmp_path) if "three-state" in inv.label]
+    assert len(runs) == 3
+    shipped = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "cantor_markov.json"))
+    for inv in runs:
+        changed = load_config(str(inv.config))
+        assert changed["system"]["transition_matrix"] == THREE_STATE["transition_matrix"]
+        assert [m["kind"] for m in changed["system"]["maps"]] == ["moebius", "moebius", "affine"]
+        assert {**shipped, "system": changed["system"]} == changed

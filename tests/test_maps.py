@@ -59,6 +59,13 @@ def test_box_rejects_empty_interval():
         IntervalBox((1.0,), (0.0,))
 
 
+@pytest.mark.parametrize("lo, hi", [((float("nan"),), (1.0,)), ((0.0,), (float("nan"),)),
+                                    ((0.0, float("nan")), (1.0, 1.0))])
+def test_box_rejects_nan_endpoints(lo, hi):
+    with pytest.raises(ValueError, match="is empty"):
+        IntervalBox(lo, hi)
+
+
 def test_box_geometry():
     box = IntervalBox((0.0, 1.0), (0.5, 3.0))
     assert box.dim == 2
@@ -152,6 +159,14 @@ def test_map_system_rejects_escape():
             maps=(AffineMap(((2.0,),), (0.0,)),),
             ambient=UNIT,
         )
+
+
+@pytest.mark.parametrize("f", [AffineMap(((float("nan"),),), (0.0,)), AffineMap(((0.5,),), (float("nan"),)),
+                               MoebiusMap(float("nan"), 0.0, 0.0, 1.0)], ids=["matrix", "offset", "moebius"])
+def test_map_system_rejects_a_map_with_a_nan_image(f):
+    # The image [nan, nan] fails the box check, so the map is not self-mapping.
+    with pytest.raises(NotSelfMapping, match="map 1 sends the ambient box to no interval"):
+        MapSystem(shift=build_shift([[1.0]]), maps=(f,), ambient=UNIT)
 
 
 def test_map_system_rejects_pole_in_ambient():

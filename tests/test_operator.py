@@ -53,6 +53,14 @@ def test_make_measure_validation():
         make_measure(sys, [], np.empty((0, 1)), [])
 
 
+def test_make_measure_rejects_nan():
+    sys = cantor_iid()
+    with pytest.raises(ValueError, match="outside"):
+        make_measure(sys, [1, 2], [[np.nan], [0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="weights must be positive"):
+        make_measure(sys, [1, 2], [[0.5], [0.5]], [np.nan, 1.0])
+
+
 def test_build_initial_kinds():
     sys = cantor_markov()
     corner = build_initial(sys, "corner", 10)

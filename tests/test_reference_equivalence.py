@@ -41,7 +41,6 @@ from markovprod import (
     MapSystem,
     MarkovProdError,
     MoebiusMap,
-    NoConnector,
     NoRowPositiveState,
     NotPrimitive,
     apply_operator,
@@ -1249,12 +1248,18 @@ def test_membership_walk_matches_on_random_affine_2d_systems_in_exact_mode(seed)
 @pytest.mark.parametrize("offset", [-1.0, math.nan], ids=["escaping", "nan"])
 def test_membership_walk_matches_on_enclosures_outside_their_prefixes(offset):
     # x -> 3x - 1 sends [0, 1] onto [-1, 2], so an enclosure can hold points
-    # its prefix's enclosure lost; a nan offset makes every enclosure after
-    # it [nan, nan], which holds no point.  The per-point DFS drops such
-    # points, and so must the walk.
+    # its prefix's enclosure lost.  The per-point DFS drops such points, and
+    # so must the walk.  A nan offset has no enclosure: `IntervalBox` rejects
+    # [nan, nan], so the walk fails as the DFS does.
     maps = (AffineMap(((3.0,),), (offset,)), AffineMap(((0.5,),), (0.0,)))
     tables = oracle._tables(build_shift([[0.5, 0.5], [0.5, 0.5]]), False)
     xs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    if math.isnan(offset):
+        walk = either_outcome(oracle._walk_membership, maps, UNIT, tables, xs, 1, range(5), collect=True)
+        ref = either_outcome(lambda: [ref_enumerate_membership(maps, UNIT, tables, x, 1, n)
+                                      for n in range(5) for x in xs])
+        assert walk == ref == (ValueError, "interval [nan, nan] is empty")
+        return
     walked = oracle._walk_membership(maps, UNIT, tables, xs, 1, range(5), collect=True)
     for n, per_x in enumerate(walked):
         for x, new in zip(xs, per_x):
@@ -1773,16 +1778,33 @@ def streams(monkeypatch, shift):
 
 
 @pytest.mark.parametrize("name", SAMPLER_CHAINS)
+def test_walk_table_is_the_read_only_stack_of_cumulative_rows(name):
+    shift = build_shift(SAMPLER_CHAINS[name])
+    k = shift.k
+    assert "walk_table" not in shift.__dict__  # built on first use only
+    table = shift.walk_table
+    assert table.shape == (2, k + 1, k) and not table.flags.writeable
+    for d, M in enumerate((shift.P, shift.Q)):
+        for s in range(k):
+            assert table[d, s].tolist() == np.cumsum(M[s]).tolist()
+        assert table[d, k].tolist() == np.cumsum(shift.p).tolist()
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0.5
+    assert shift.walk_table is table
+
+
+@pytest.mark.parametrize("name", SAMPLER_CHAINS)
 def test_next_state_rule_matches_the_scalar_search(name):
+    # Rows 0..k - 1 of each direction's walk table step from a state, row k
+    # draws the stationary start.
     shift = build_shift(SAMPLER_CHAINS[name])
     k, u = shift.k, edge_uniforms(shift)
-    for M in (shift.p[None], shift.P, shift.Q):
-        cum = np.cumsum(M, axis=1)
-        for s, row in enumerate(cum):
+    for table, M in zip(shift.walk_table, (shift.P, shift.Q)):
+        for s, row in enumerate([*np.cumsum(M, axis=1), np.cumsum(shift.p)]):
             want = [min(int(np.searchsorted(row, x, side="right")), k - 1) for x in u]
-            lanes = shift_module._next_lanes(M, np.full(len(u), s), u, np.zeros(len(u), np.int64))
+            lanes = shift_module._next_lanes(table, np.full(len(u), s), u, np.zeros(len(u), np.int64))
             assert lanes.tolist() == want
-            assert [shift_module._walk(cum, s, [x])[0] for x in u] == want
+            assert [shift_module._walk(table, s, [x])[0] for x in u] == want
     if name == "ten_state_short_rows":
         assert np.all(np.cumsum(shift.P, axis=1)[:, -1] <= u.max())  # so the clip runs
 
@@ -1819,7 +1841,7 @@ def test_walks_split_at_any_step_resume_where_they_left_off(monkeypatch, name, i
     # A walk cut at step i and resumed from its last state is the whole walk,
     # and a shorter word is the prefix of a longer one with the same seed.
     shift = build_shift(SAMPLER_CHAINS[name])
-    cum = np.cumsum(shift.matrix(inverse), axis=1)
+    table = shift.walk_table[int(inverse)]
     for _ in streams(monkeypatch, shift):
         for start in (None, shift.k):
             longest = sample_word(shift, 20, start=start, inverse=inverse, seed=5)
@@ -1828,11 +1850,11 @@ def test_walks_split_at_any_step_resume_where_they_left_off(monkeypatch, name, i
                 assert word == ref_sample_word(shift, length, start=start, inverse=inverse, seed=length)
                 assert sample_word(shift, length, start=start, inverse=inverse, seed=5) == longest[:length]
         u = np.random.default_rng(7).random(20)
-        for s in range(shift.k):
-            whole = shift_module._walk(cum, s, u)
+        for s in range(shift.k + 1):
+            whole = shift_module._walk(table, s, u)
             for i in range(1, len(u)):
-                head = shift_module._walk(cum, s, u[:i])
-                assert head + shift_module._walk(cum, head[-1], u[i:]) == whole
+                head = shift_module._walk(table, s, u[:i])
+                assert head + shift_module._walk(table, head[-1], u[i:]) == whole
 
 
 def test_long_words_on_many_states_build_no_next_state_table():
@@ -1878,16 +1900,18 @@ def test_symbols_past_one_byte_keep_their_values():
 def test_sample_words_memory_does_not_grow_with_k():
     # Each lane reads only its own state's row, so the temporaries are a few
     # columns of `count` entries; a (k, count) next-state table per column
-    # would be 12 MB here.
+    # would be 12 MB here.  The first call also builds the chain's walk
+    # table, once, with no temporary of its size.
     shift, count = build_shift(lazy_cycle(300)), 20_000
-    tracemalloc.start()
-    try:
-        words = sample_words(shift, count, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * count * 8
-    assert words.tolist() == ref_sample_words(shift, count, 4).tolist()
+    for extra in (2 * 301 * 300 * 8, 0):
+        tracemalloc.start()
+        try:
+            words = sample_words(shift, count, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * count * 8 + extra
+        assert words.tolist() == ref_sample_words(shift, count, 4).tolist()
 
 
 @pytest.mark.parametrize("depth", [0, 1, 6])
@@ -1941,7 +1965,7 @@ def ref_normalize_witness(sys, witness, mode=splitting.PRIMITIVE_MODE, *, strict
                     xi = ra + tuple(reversed(path_a[:-1]))
                     eta = rb + tuple(reversed(path_b[:-1]))
                     return NormalizedPair(xi=xi, eta=eta, endpoint_matched=True)
-        raise NoConnector(f"no connector pair found within cap {cap}")
+        raise AssertionError(f"no connector pair found within cap {cap}")
 
     if mode == splitting.ROW_POSITIVE_MODE:
         row_positive = [u for u in range(1, k + 1) if np.all(shift.P[u - 1] > 0.0)]
@@ -1960,7 +1984,7 @@ def ref_normalize_witness(sys, witness, mode=splitting.PRIMITIVE_MODE, *, strict
                 xi = (u,) + tuple(reversed(path_a[1:-1])) + ra
                 eta = (u,) + tuple(reversed(path_b[1:-1])) + rb
                 return NormalizedPair(xi=xi, eta=eta, endpoint_matched=ra[-1] == rb[-1])
-        raise NoConnector(f"no head connector found within cap {cap}")
+        raise AssertionError(f"no head connector found within cap {cap}")
 
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -28,6 +28,7 @@ from markovprod import (
     stationary_vector_power,
     wielandt_bound,
 )
+from markovprod.shift import as_transition_matrix
 
 MARKOV = [[0.9, 0.1], [0.2, 0.8]]
 THREE_CYCLE = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
@@ -50,6 +51,34 @@ def test_rejects_negative_entry():
 def test_rejects_non_square():
     with pytest.raises(InvalidMatrix):
         build_shift([[0.5, 0.5]])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("check", [as_transition_matrix, build_shift, classify_matrix, stationary_vector,
+                                   stationary_vector_power, inverse_transition])
+def test_nan_entry_fails_the_entry_check(check):
+    # Each check is `not lo <= x <= hi`; `x < lo or x > hi` let NaN through.
+    with pytest.raises(InvalidMatrix, match="row 1 has an entry outside"):
+        check([[NAN, 1.0], [0.5, 0.5]])
+
+
+def test_nan_solve_fails_the_residual_check(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.full(len(b), NAN))
+    with pytest.raises(NumericalFailure, match="residual nan exceeds"):
+        stationary_vector(MARKOV)
+
+
+def test_nan_stationary_entry_fails_the_positivity_check():
+    with pytest.raises(ZeroStationaryEntry):
+        inverse_transition([[0.5, 0.5], [0.5, 0.5]], [NAN, 0.5])
+
+
+def test_nan_row_defect_fails_the_stationarity_check():
+    # inf passes the positivity check, and inf / inf puts NaN in every row.
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidMatrix, match="row defect nan"):
+        inverse_transition([[0.5, 0.5], [0.5, 0.5]], [np.inf, 0.5])
 
 
 # --- classification -----------------------------------------------------

@@ -14,8 +14,9 @@ tree, and for each seed in `SEEDS`, the tool runs `python -m markovprod.cli`:
 - the `EXTRA_RUNS`, which cover code paths that neither of the above
   reaches: the float oracle, the oracle on a 2-D system, the sampled-prefix
   horizon walk, an exhaustive horizon walk in 2-D whose frontier spans
-  many blocks, a 2-D ergodic average that reads both coordinates, and
-  both connector searches of the split normalization.
+  many blocks, a 2-D ergodic average that reads both coordinates, both
+  connector searches of the split normalization, and the chain walks and
+  orbit of a 3-state system with two map classes.
 
 Both trees run the same workload and extra config files, written once from
 this checkout; an invocation that repeats a shipped-config run of the tree
@@ -59,8 +60,24 @@ SEEDS = (0, 1)
 # No extra run is needed for the orbit's settle: at each of `SEEDS` the
 # shipped cantor_markov `all` run steps some of its lanes again
 # (`test_shipped_markov_orbit_reruns_lanes`), so it byte-compares that path.
+# Every shipped chain has 2 states, so each row of its walk table has one
+# cumulative entry that decides a step, and every shipped system has one map
+# class; the last three entries swap in `THREE_STATE` to byte-compare walks
+# on 3 states, forward (sync, ergodic) and inverse (weak-hyp), and a
+# lockstep over two map classes.  Its 10^6-step orbit steps 4 lanes again at
+# seed 0 and 2 at seed 1, so those runs also byte-compare the settle.
 # Each entry is (label, subcommand, shipped config, block -> keys replaced in
-# that block, which is created if absent).
+# that block, which is created if absent; the "system" block is replaced
+# whole).
+THREE_STATE = {
+    "ambient": {"lo": [0.0], "hi": [1.0]},
+    "transition_matrix": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]],
+    "maps": [
+        {"kind": "moebius", "a": 1, "b": 0, "c": 0, "d": 3},
+        {"kind": "moebius", "a": 1, "b": 2, "c": 0, "d": 3},
+        {"kind": "affine", "matrix": [[0.5]], "offset": [0.25]},
+    ],
+}
 EXTRA_RUNS = (
     ("oracle-float-cantor_markov", "oracle", "cantor_markov.json", {"oracle": {"exact": False}}),
     ("oracle-float-s2-diagonal_2d", "oracle", "diagonal_2d.json", {"oracle": {"exact": False, "s": 2}}),
@@ -71,6 +88,9 @@ EXTRA_RUNS = (
     ("split-row-positive-cantor_markov", "split-search", "cantor_markov.json",
      {"split": {"normalize_mode": "row-positive"}}),
     ("split-strict-cantor_markov", "split-search", "cantor_markov.json", {"split": {"strict_endpoints": True}}),
+    ("ergodic-three-state-cantor_markov", "ergodic", "cantor_markov.json", {"system": THREE_STATE}),
+    ("sync-three-state-cantor_markov", "sync", "cantor_markov.json", {"system": THREE_STATE}),
+    ("weak-hyp-three-state-cantor_markov", "weak-hyp", "cantor_markov.json", {"system": THREE_STATE}),
 )
 
 
@@ -165,7 +185,10 @@ def extra_invocations(config_dir: Path) -> list[Invocation]:
     for label, subcommand, name, changes in EXTRA_RUNS:
         config = json.loads((ROOT / "configs" / name).read_text(encoding="utf-8"))
         for block, keys in changes.items():
-            config["experiments"].setdefault(block, {}).update(keys)
+            if block == "system":
+                config["system"] = keys
+            else:
+                config["experiments"].setdefault(block, {}).update(keys)
         path = config_dir / f"{label}.json"
         path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
         found.append(Invocation(label, subcommand, path))
