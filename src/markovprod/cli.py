@@ -82,8 +82,7 @@ def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
 
 

@@ -250,13 +250,6 @@ def map_boxes(f: Map, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
     return tuple(np.stack(corner, axis=1) for corner in _box_image(f, lo.T, hi.T))
 
 
-@dataclass(frozen=True)
-class MonotoneType:
-    """Common sign class of a system: its sign pattern."""
-
-    signs: tuple[str, ...]
-
-
 def _compatible(table: tuple[tuple[str, ...], ...], signs: tuple[str, ...]) -> bool:
     flipped = tuple(_FLIP[s] for s in signs)
     for j, row in enumerate(table):
@@ -330,14 +323,14 @@ class MapSystem:
         return tables
 
 
-def monotone_classes(sys: MapSystem) -> tuple[MonotoneType, ...]:
+def monotone_classes(sys: MapSystem) -> tuple[tuple[str, ...], ...]:
     """All sign patterns t compatible with every map, in lexicographic order
     with '+' before '-'; empty when the system is not monotone."""
     tables = tuple(sign_table(f) for f in sys.maps)
     found = []
     for signs in product((PLUS, MINUS), repeat=sys.dim):
         if all(_compatible(t, signs) for t in tables):
-            found.append(MonotoneType(signs=signs))
+            found.append(signs)
     return tuple(found)
 
 
@@ -349,15 +342,6 @@ def orbit(step, maps: tuple, symbols, start) -> list:
     for s in symbols:
         out.append(step(maps[s - 1], out[-1]))
     return out
-
-
-def forward_orbit(sys: MapSystem, word: Word, x) -> tuple:
-    """Apply f_{w_1} first: the orbit point f_{w_n} o ... o f_{w_1}(x)."""
-    word = check_word(word, sys.k)
-    x = tuple(x)
-    if not sys.ambient.contains(x):
-        raise OutsideDomain(f"orbit start {x} outside the ambient box")
-    return orbit(evaluate_map, sys.maps, word, x)[-1]
 
 
 def reverse_composition(sys: MapSystem, word: Word, x) -> tuple:

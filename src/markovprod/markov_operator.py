@@ -231,7 +231,7 @@ def _allocate_slots(masses: np.ndarray, target: int) -> np.ndarray:
     base[positive & (base == 0)] = 1
     remainder = raw - np.floor(raw)
     order = sorted(range(len(masses)), key=lambda j: (-remainder[j], j))
-    diff = target - int(base[positive].sum())
+    diff = target - int(base.sum())
     idx = 0
     while diff > 0:
         j = order[idx % len(order)]
@@ -247,7 +247,6 @@ def _allocate_slots(masses: np.ndarray, target: int) -> np.ndarray:
             base[j] -= 1
             diff += 1
         idx += 1
-    base[~positive] = 0
     return base
 
 

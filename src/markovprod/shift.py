@@ -2,7 +2,11 @@
 
 Provides:
 - validation and classification of row-stochastic transition matrices
-  (primitive / irreducible-not-primitive / reducible)
+  (primitive / irreducible-not-primitive / reducible) from one
+  breadth-first level map of the positive-entry digraph: irreducible when
+  it and its transpose reach every state, primitive when moreover the gcd
+  of level(i) + 1 - level(j) over the edges i -> j, the period (Denardo
+  1977), is 1
 - stationary vectors by direct linear solve, with damped power iteration
   retained as an independent cross-check
 - the time-reversed transition matrix q_ij = (p_j / p_i) * p_ji
@@ -63,59 +67,43 @@ def as_transition_matrix(matrix) -> np.ndarray:
     return P
 
 
-def _positive_digraph(P: np.ndarray) -> np.ndarray:
-    return P > 0.0
+def _levels(A: np.ndarray) -> np.ndarray:
+    """Breadth-first depth of each state from state 1 along the Boolean
+    adjacency matrix A, one level at a time; -1 where no path reaches it."""
+    level = np.full(A.shape[0], -1)
+    frontier = np.zeros(A.shape[0], dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = A[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
 
 
-def _strongly_connected(A: np.ndarray) -> bool:
-    """Strong connectivity of a boolean adjacency matrix via two BFS passes."""
-
-    def reaches_all(adj: np.ndarray) -> bool:
-        k = adj.shape[0]
-        seen = np.zeros(k, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in np.flatnonzero(adj[v]):
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(int(w))
-            frontier = nxt
-        return bool(seen.all())
-
-    return reaches_all(A) and reaches_all(A.T)
-
-
-def wielandt_bound(k: int) -> int:
-    """Power cap used by the primitivity test."""
-    return (k - 1) * k * k + 1
+def _irreducible_levels(A: np.ndarray) -> np.ndarray | None:
+    """The level map of A when both A and its transpose reach every state
+    from state 1, that is, when the chain is irreducible; None otherwise."""
+    level = _levels(A)
+    return level if level.min() >= 0 and _levels(A.T).min() >= 0 else None
 
 
 def classify_matrix(matrix) -> str:
     """Classify a row-stochastic matrix.
 
-    Returns "primitive" when some power P^n (n <= (k-1)k^2 + 1) is entrywise
-    positive, "irreducible-not-primitive" when the positive-entry digraph is
-    strongly connected but no such power exists, and "reducible" otherwise.
-    Positivity of boolean powers is monotone once rows and columns are
-    nonempty, so testing the squares A, A^2, A^4, ... up to the cap decides.
+    Returns "reducible" unless the positive-entry digraph A is strongly
+    connected.  Otherwise the period of A is the gcd of
+    level(i) + 1 - level(j) over its edges i -> j, with level the
+    breadth-first depth from state 1 (Denardo 1977, *Periods of connected
+    networks and powers of nonnegative matrices*): "primitive" when it is
+    1, "irreducible-not-primitive" otherwise.
     """
-    P = as_transition_matrix(matrix)
-    A = _positive_digraph(P)
-    if not _strongly_connected(A):
+    A = as_transition_matrix(matrix) > 0.0
+    level = _irreducible_levels(A)
+    if level is None:
         return REDUCIBLE
-    bound = wielandt_bound(P.shape[0])
-    B = A.copy()
-    exponent = 1
-    while True:
-        if B.all():
-            return PRIMITIVE
-        if exponent >= bound:
-            return IRREDUCIBLE
-        B = B @ B
-        exponent *= 2
+    i, j = np.nonzero(A)
+    return PRIMITIVE if np.gcd.reduce(level[i] + 1 - level[j]) == 1 else IRREDUCIBLE
 
 
 def stationary_vector(matrix) -> np.ndarray:
@@ -126,7 +114,7 @@ def stationary_vector(matrix) -> np.ndarray:
     1e-12 before returning.
     """
     P = as_transition_matrix(matrix)
-    if not _strongly_connected(_positive_digraph(P)):
+    if _irreducible_levels(P > 0.0) is None:
         raise NotIrreducible("stationary vector requires an irreducible matrix")
     k = P.shape[0]
     A = P.T - np.eye(k)
@@ -153,7 +141,7 @@ def stationary_vector_power(matrix, tol: float = 1e-14, max_iter: int = 200_000)
     converges for every irreducible matrix, periodic ones included.
     """
     P = as_transition_matrix(matrix)
-    if not _strongly_connected(_positive_digraph(P)):
+    if _irreducible_levels(P > 0.0) is None:
         raise NotIrreducible("stationary vector requires an irreducible matrix")
     k = P.shape[0]
     lazy = 0.5 * (P + np.eye(k))

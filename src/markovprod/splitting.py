@@ -39,7 +39,6 @@ from .maps import (
     PLUS,
     IntervalBox,
     MapSystem,
-    MonotoneType,
     advance_rows,
     box_image,
     forward_box_chain,
@@ -125,7 +124,7 @@ def _validate_pair(sys: MapSystem, word_a: Word, word_b: Word) -> tuple[Word, Wo
     return word_a, word_b
 
 
-def _split_routes(sys: MapSystem) -> tuple[tuple[MonotoneType, ...], bool]:
+def _split_routes(sys: MapSystem) -> tuple[tuple[tuple[str, ...], ...], bool]:
     """The system's common monotone classes and whether the injective 1-D
     route applies; NotMonotoneSystem when neither gives a route."""
     classes = monotone_classes(sys)
@@ -156,14 +155,14 @@ def _certify_boxes(
     word_b: Word,
     box_a: IntervalBox,
     box_b: IntervalBox,
-    routes: tuple[tuple[MonotoneType, ...], bool],
+    routes: tuple[tuple[tuple[str, ...], ...], bool],
 ) -> SplitWitness | None:
     """The pair as a witness certified by the first of the `_split_routes`
     that separates its images box_a and box_b, or None."""
     classes, injective_1d = routes
-    for cls in classes:
-        if _boxes_separated(box_a, box_b, cls.signs):
-            return SplitWitness(word_a, word_b, box_a, box_b, MONOTONE_ORDER, cls.signs)
+    for signs in classes:
+        if _boxes_separated(box_a, box_b, signs):
+            return SplitWitness(word_a, word_b, box_a, box_b, MONOTONE_ORDER, signs)
     if injective_1d and (box_a.hi[0] < box_b.lo[0] or box_b.hi[0] < box_a.lo[0]):
         return SplitWitness(word_a, word_b, box_a, box_b, INJECTIVE_1D)
     return None

@@ -101,15 +101,6 @@ def _decay_curves(sys: MapSystem, words: list[Word], cloud: np.ndarray) -> list[
     return curves
 
 
-def image_diameter_curve(
-    sys: MapSystem, word: Word, n_max: int, cloud_size: int = DEFAULT_CLOUD
-) -> DecayCurve:
-    word = check_word(word, sys.k)
-    if len(word) < n_max:
-        raise ValueError(f"word of length {len(word)} cannot drive {n_max} steps")
-    return _decay_curves(sys, [word[:n_max]], ambient_cloud(sys, cloud_size))[0]
-
-
 def fit_decay_rate(curve: DecayCurve) -> tuple[float, float]:
     """Least-squares log-linear fit of the upper curve: returns (C, q) with
     upper_n ~ C q^n, fitted over the entries above the floor 1e-14."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import inspect
 import json
 import os
 import re
@@ -593,6 +594,32 @@ def test_shipped_configs_validate_and_build(name):
     config = load_config(str(CONFIGS_DIR / name))
     system = build_system(config)
     assert system.shift.k == len(config["system"]["maps"])
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS_DIR.glob("*.json")))
+def test_shipped_reports_hand_the_csv_writer_plain_cells(tmp_path, monkeypatch, name):
+    # `_write_csv` writes each cell as the csv module does: a float as its
+    # repr.  That is the report's format only for exact int, float and str
+    # cells; str of a NumPy scalar need not equal the repr of a float.
+    kinds = set()
+
+    def checked(path, header, rows, write=cli._write_csv):
+        rows = list(rows)
+        kinds.update(type(v) for row in rows for v in row)
+        write(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", checked)
+    assert main(["all", "--config", str(CONFIGS_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    assert kinds and kinds <= {int, float, str}, kinds
+
+
+def test_all_names_every_public_binding_of_the_package():
+    # A name deleted from a module but left in __all__ would make
+    # `from markovprod import *` raise.
+    public = {name for name, value in vars(markovprod).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert set(markovprod.__all__) == public | {"__version__"}
+    assert len(markovprod.__all__) == len(set(markovprod.__all__))
 
 
 def test_console_script_runs(tmp_path):

@@ -19,7 +19,6 @@ from markovprod import (
     build_shift,
     evaluate_map,
     forward_box_chain,
-    forward_orbit,
     monotone_classes,
     reverse_box,
     reverse_composition,
@@ -30,6 +29,7 @@ from markovprod.maps import (
     injective,
     map_boxes,
     map_points,
+    orbit,
     sign_table,
 )
 from markovprod.splitting import ambient_cloud
@@ -181,18 +181,23 @@ def test_map_system_rejects_pole_in_ambient():
 # --- orbits and compositions --------------------------------------------
 
 
+def orbit_point(sys, word, x):
+    """Apply f_{w_1} first: the orbit point f_{w_n} o ... o f_{w_1}(x)."""
+    return orbit(evaluate_map, sys.maps, word, x)[-1]
+
+
 def test_forward_orbit_examples():
     sys = cantor_iid()
-    assert forward_orbit(sys, (), (0.7,)) == (0.7,)
-    (y,) = forward_orbit(sys, (1, 2), (0.0,))
+    assert orbit_point(sys, (), (0.7,)) == (0.7,)
+    (y,) = orbit_point(sys, (1, 2), (0.0,))
     assert abs(y - 2.0 / 3.0) <= 1e-16
-    (z,) = forward_orbit(sys, (1, 1, 1), (1.0,))
+    (z,) = orbit_point(sys, (1, 1, 1), (1.0,))
     assert abs(z - 1.0 / 27.0) <= 1e-16
 
 
-def test_forward_orbit_outside_domain():
+def test_reverse_composition_outside_domain():
     with pytest.raises(OutsideDomain):
-        forward_orbit(cantor_iid(), (1,), (2.0,))
+        reverse_composition(cantor_iid(), (1,), (2.0,))
 
 
 @pytest.mark.parametrize("point", [(), (0.3, 0.4)], ids=["empty", "two-coordinates"])
@@ -200,7 +205,7 @@ def test_point_of_another_dimension_is_outside_the_box(point):
     sys = cantor_markov()
     assert not sys.ambient.contains(point)
     with pytest.raises(OutsideDomain):
-        forward_orbit(sys, (), point)
+        reverse_composition(sys, (), point)
 
 
 def test_reverse_composition_examples():
@@ -209,7 +214,7 @@ def test_reverse_composition_examples():
     assert abs(y - 2.0 / 9.0) <= 1e-16
     # Single symbol: both orders coincide with plain evaluation.
     assert reverse_composition(sys, (2,), (0.5,)) == evaluate_map(sys.maps[1], (0.5,))
-    assert forward_orbit(sys, (2,), (0.5,)) == evaluate_map(sys.maps[1], (0.5,))
+    assert orbit_point(sys, (2,), (0.5,)) == evaluate_map(sys.maps[1], (0.5,))
 
 
 def test_reverse_composition_periodic_limit():
@@ -222,7 +227,7 @@ def test_reverse_composition_periodic_limit():
 
 def test_order_of_composition_differs():
     sys = cantor_iid()
-    assert forward_orbit(sys, (1, 2), (0.0,)) != reverse_composition(sys, (1, 2), (0.0,))
+    assert orbit_point(sys, (1, 2), (0.0,)) != reverse_composition(sys, (1, 2), (0.0,))
 
 
 # --- box chains ---------------------------------------------------------
@@ -276,17 +281,17 @@ def test_sign_tables():
 
 def test_monotone_classes_increasing_1d():
     classes = monotone_classes(cantor_iid())
-    assert [c.signs for c in classes] == [("+",)]
+    assert list(classes) == [("+",)]
 
 
 def test_monotone_classes_decreasing_1d():
     classes = monotone_classes(decreasing_pair())
-    assert [c.signs for c in classes] == [("-",)]
+    assert list(classes) == [("-",)]
 
 
 def test_monotone_classes_diagonal_2d():
     classes = monotone_classes(diagonal_2d())
-    assert [c.signs for c in classes] == [("+", "+"), ("+", "-")]
+    assert list(classes) == [("+", "+"), ("+", "-")]
 
 
 def test_monotone_classes_mixed_sign_diagonal_empty():
@@ -329,8 +334,8 @@ def test_order_cone_preserved_by_increasing_words():
         x, y = sorted(rng.random(2))
         if x == y:
             continue
-        fx = forward_orbit(sys, word, (x,))
-        fy = forward_orbit(sys, word, (y,))
+        fx = orbit_point(sys, word, (x,))
+        fy = orbit_point(sys, word, (y,))
         assert in_order_cone(fx, fy, ("+",))
 
 
@@ -340,8 +345,8 @@ def test_order_cone_alternates_for_decreasing_class():
     sys = decreasing_pair()
     x, y = (0.1,), (0.3,)
     for word in [(1,), (2,), (1, 2), (2, 2), (1, 2, 1)]:
-        fx = forward_orbit(sys, word, x)
-        fy = forward_orbit(sys, word, y)
+        fx = orbit_point(sys, word, x)
+        fy = orbit_point(sys, word, y)
         if len(word) % 2 == 0:
             assert in_order_cone(fx, fy, ("+",))
         else:
@@ -356,7 +361,7 @@ def test_monotone_classes_2d_cross_terms():
         maps=(f,),
         ambient=IntervalBox((0.0, 0.0), (1.0, 1.0)),
     )
-    assert [c.signs for c in monotone_classes(sys)] == [("+", "+")]
+    assert list(monotone_classes(sys)) == [("+", "+")]
 
 
 # --- vectorised helpers -------------------------------------------------
@@ -438,8 +443,8 @@ def test_ambient_cloud_contains_corners_and_stays_inside():
 def test_orbit_concatenation_property(w1, w2, x):
     sys = cantor_iid()
     w1, w2 = tuple(w1), tuple(w2)
-    whole = forward_orbit(sys, w1 + w2, (x,))
-    staged = forward_orbit(sys, w2, forward_orbit(sys, w1, (x,)))
+    whole = orbit_point(sys, w1 + w2, (x,))
+    staged = orbit_point(sys, w2, orbit_point(sys, w1, (x,)))
     assert abs(whole[0] - staged[0]) <= 1e-15
 
 

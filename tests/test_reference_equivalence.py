@@ -42,6 +42,7 @@ from markovprod import (
     MarkovProdError,
     MoebiusMap,
     NoRowPositiveState,
+    NotIrreducible,
     NotPrimitive,
     apply_operator,
     build_initial,
@@ -68,9 +69,9 @@ from markovprod.maps import (
     box_image,
     evaluate_map,
     forward_box_chain,
-    forward_orbit,
     map_boxes,
     map_points,
+    orbit,
     reverse_box,
     reverse_composition,
 )
@@ -94,10 +95,10 @@ from markovprod.synchronization import (
     ErgodicResult,
     RateFit,
     SyncResult,
+    _decay_curves,
     coding_invariance,
     coding_point,
     fit_decay_rate,
-    image_diameter_curve,
 )
 from markovprod.synchronization import test_function as observable
 
@@ -1119,7 +1120,7 @@ def check_scalar_compositions(sys, seed):
     rng = np.random.default_rng(seed)
     x = tuple(a + (b - a) * 3 / 7 for a, b in zip(sys.ambient.lo, sys.ambient.hi))
     for word in sample_words_of(sys, rng, 6, 9):
-        assert_bit_equal(forward_orbit(sys, word, x), ref_forward_orbit(sys, word, x))
+        assert_bit_equal(orbit(evaluate_map, sys.maps, word, x)[-1], ref_forward_orbit(sys, word, x))
         assert_bit_equal(reverse_composition(sys, word, x), ref_reverse_composition(sys, word, x))
         for box in (None, inner_box(sys.ambient)):
             assert_bit_equal(forward_box_chain(sys, word, box), ref_forward_box_chain(sys, word, box))
@@ -1171,7 +1172,7 @@ def check_clouds(sys, seed):
                          ref_sampled_horizon(sys, word_a, word_b, n_max, 30, 9, seed))
     word = tuple(int(a) for a in np.random.default_rng(seed).integers(1, sys.k + 1, size=12))
     for n_max in (0, 3, 12):
-        assert_bit_equal(image_diameter_curve(sys, word, n_max, 17),
+        assert_bit_equal(_decay_curves(sys, [word[:n_max]], ambient_cloud(sys, 17))[0],
                          ref_image_diameter_curve(sys, word, n_max, 17))
 
 
@@ -2085,3 +2086,89 @@ def test_cylinder_measure_is_the_oracle_path_product(factory):
             assert_bit_equal(shift_module.cylinder_measure(shift, w), ref_cylinder_measure(shift, w))
             zeros += inverse == 0.0
     assert zeros > 0 or factory is cantor_markov
+
+
+# --- chain classification -----------------------------------------------------
+# Brute force on the 0/1 matrix A of positive entries: irreducible iff every
+# entry of (I + A)^(k-1) is positive, primitive iff moreover every entry of
+# A^((k-1)^2 + 1) is (Wielandt's exponent for a primitive 0/1 matrix).
+
+
+def ref_power_positive(A, n):
+    """Whether every entry of the 0/1 power A^n is positive.  The powers are
+    stepped by `np.minimum(M @ A, 1)` from the identity; once one repeats an
+    earlier one the rest cycle, and A^n is read off that cycle."""
+    A = A.astype(float)
+    M, seen, positive = np.eye(len(A)), {}, []
+    for t in range(n + 1):
+        key = np.packbits(M > 0).tobytes()
+        if key in seen:
+            m = seen[key]
+            return positive[m + (n - m) % (t - m)]
+        seen[key] = t
+        positive.append(bool(M.all()))
+        M = np.minimum(M @ A, 1.0)
+    return positive[n]
+
+
+def ref_classify_matrix(P):
+    A = np.asarray(P) > 0.0
+    k = len(A)
+    if not ref_power_positive(A | np.eye(k, dtype=bool), k - 1):
+        return shift_module.REDUCIBLE
+    return shift_module.PRIMITIVE if ref_power_positive(A, (k - 1) ** 2 + 1) else shift_module.IRREDUCIBLE
+
+
+def random_chain(rng):
+    """A chain on 1..8 states with a random positive pattern; in 40 % of the
+    draws its edges only go from each of d cyclic classes to the next, so
+    periodic chains are common."""
+    k = int(rng.integers(1, 9))
+    allowed = np.ones((k, k), dtype=bool)
+    if k > 1 and rng.random() < 0.4:
+        d = int(rng.integers(2, k + 1))
+        cls = rng.integers(0, d, size=k)
+        allowed = cls[None, :] == (cls[:, None] + 1) % d
+    mask = allowed & (rng.random((k, k)) < rng.uniform(0.1, 0.7))
+    for i in np.flatnonzero(~mask.any(axis=1)):
+        cols = np.flatnonzero(allowed[i])
+        mask[i, rng.choice(cols) if len(cols) else rng.integers(k)] = True
+    W = mask * (0.1 + rng.random((k, k)))
+    return W / W.sum(axis=1, keepdims=True)
+
+
+def test_classification_matches_the_matrix_powers_on_random_chains():
+    rng = np.random.default_rng(2024)
+    counts = dict.fromkeys((shift_module.PRIMITIVE, shift_module.IRREDUCIBLE, shift_module.REDUCIBLE), 0)
+    for _ in range(2000):
+        P = random_chain(rng)
+        expected = ref_classify_matrix(P)
+        assert shift_module.classify_matrix(P) == expected
+        counts[expected] += 1
+        if expected == shift_module.REDUCIBLE:
+            with pytest.raises(NotIrreducible):
+                shift_module.stationary_vector(P)
+        else:
+            assert np.all(shift_module.stationary_vector(P) > 0.0)
+    assert min(counts.values()) >= 100, counts
+
+
+def cycle_chain(k, lazy):
+    P = np.roll(np.eye(k), 1, axis=1)
+    return (P + np.eye(k)) / 2 if lazy else P
+
+
+def absorbing_path(k):
+    """1 -> 2 -> ... -> k with a holding step at each state and k absorbing:
+    state 1 reaches every state and none reaches back."""
+    P = (np.eye(k) + np.eye(k, k, 1)) / 2
+    P[-1, -1] = 1.0
+    return P
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 300])
+@pytest.mark.parametrize("chain", [partial(cycle_chain, lazy=False), partial(cycle_chain, lazy=True),
+                                   absorbing_path], ids=["cycle", "lazy-cycle", "absorbing-path"])
+def test_classification_matches_the_matrix_powers_on_cycles_and_paths(chain, k):
+    P = chain(k)
+    assert shift_module.classify_matrix(P) == ref_classify_matrix(P)

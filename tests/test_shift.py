@@ -26,7 +26,6 @@ from markovprod import (
     sample_words,
     stationary_vector,
     stationary_vector_power,
-    wielandt_bound,
 )
 from markovprod.shift import as_transition_matrix
 
@@ -104,10 +103,6 @@ def test_classify_identity_reducible():
 def test_build_shift_rejects_reducible():
     with pytest.raises(NotIrreducible):
         build_shift([[1.0, 0.0], [0.0, 1.0]])
-
-
-def test_wielandt_bound_value():
-    assert wielandt_bound(5) == 101
 
 
 # --- stationary vector --------------------------------------------------

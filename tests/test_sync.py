@@ -26,7 +26,6 @@ from markovprod import (
     coding_point,
     ergodic_average,
     fit_decay_rate,
-    image_diameter_curve,
     measure_contraction_experiment,
     reverse_box,
     reverse_composition,
@@ -35,7 +34,8 @@ from markovprod import (
 )
 from markovprod import synchronization
 from markovprod.shift import sample_words
-from markovprod.synchronization import coding_invariance
+from markovprod.splitting import ambient_cloud
+from markovprod.synchronization import DEFAULT_CLOUD, _decay_curves, coding_invariance
 from markovprod.synchronization import test_function as observable
 
 THIRD = 1.0 / 3.0
@@ -49,7 +49,12 @@ def two_cycle_system() -> MapSystem:
     )
 
 
-# --- image_diameter_curve -------------------------------------------------
+# --- image-diameter curves -----------------------------------------------
+
+
+def image_diameter_curve(sys: MapSystem, word) -> DecayCurve:
+    """The decay curve of one word, on the default cloud."""
+    return _decay_curves(sys, [word], ambient_cloud(sys, DEFAULT_CLOUD))[0]
 
 
 def test_curve_cantor_upper_equals_lower():
@@ -57,7 +62,7 @@ def test_curve_cantor_upper_equals_lower():
     # upper curve and the attained lower curve run through identical float
     # operations, so they coincide and equal 3^-n.
     sys = cantor_iid()
-    curve = image_diameter_curve(sys, (1, 2, 1, 1, 2, 2, 1, 2, 1, 1), 10)
+    curve = image_diameter_curve(sys, (1, 2, 1, 1, 2, 2, 1, 2, 1, 1))
     assert curve.n == tuple(range(11))
     for n, (up, low) in enumerate(zip(curve.upper, curve.lower)):
         assert up == low
@@ -65,25 +70,20 @@ def test_curve_cantor_upper_equals_lower():
 
 
 def test_curve_identity_is_constant():
-    curve = image_diameter_curve(identity_control(), (1,) * 10, 10)
+    curve = image_diameter_curve(identity_control(), (1,) * 10)
     assert curve.upper == (1.0,) * 11
     assert curve.lower == (1.0,) * 11
 
 
 def test_curve_diagonal_2d_diameter():
-    curve = image_diameter_curve(diagonal_2d(), (2, 1, 2, 1, 2), 5)
+    curve = image_diameter_curve(diagonal_2d(), (2, 1, 2, 1, 2))
     for n, up in enumerate(curve.upper):
         assert abs(up - 2.0 * 3.0**-n) <= 1e-12
 
 
-def test_curve_rejects_short_word():
-    with pytest.raises(ValueError):
-        image_diameter_curve(cantor_iid(), (1, 2), 5)
-
-
 def test_curve_upper_nonincreasing_and_dominates_lower():
     sys = moebius_pair()
-    curve = image_diameter_curve(sys, (1, 2, 2, 1, 2, 1, 1, 2), 8)
+    curve = image_diameter_curve(sys, (1, 2, 2, 1, 2, 1, 1, 2))
     for a, b in zip(curve.upper, curve.upper[1:]):
         assert b <= a
     for up, low in zip(curve.upper, curve.lower):
