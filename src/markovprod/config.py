@@ -86,15 +86,21 @@ def _as_word(value, path: str) -> list[int]:
     return [_as_int(v, f"{path}[{i}]", minimum=1) for i, v in enumerate(value)]
 
 
-def _validate_matrix(value, path: str) -> list[list[float]]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path} must be a nonempty array of rows")
-    k = len(value)
+def _as_rows(value, path: str, n: int | None, entry) -> list[list]:
+    """An n x n array of rows, square in its own length when n is None, with
+    each entry of row i checked by entry(v, "<path> row i")."""
+    if not isinstance(value, list) or not value or n not in (None, len(value)):
+        raise ConfigError(f"{path} must have {n} rows" if n else f"{path} must be a nonempty array of rows")
     rows = []
     for i, row in enumerate(value, start=1):
-        if not isinstance(row, list) or len(row) != k:
-            raise ConfigError(f"{path} row {i} must have {k} entries")
-        rows.append([_as_float(v, f"{path} row {i}") for v in row])
+        if not isinstance(row, list) or len(row) != len(value):
+            raise ConfigError(f"{path} row {i} must have {len(value)} entries")
+        rows.append([entry(v, f"{path} row {i}") for v in row])
+    return rows
+
+
+def _validate_matrix(value, path: str) -> list[list[float]]:
+    rows = _as_rows(value, path, None, _as_float)
     try:
         as_transition_matrix(rows)
     except InvalidMatrix as exc:
@@ -102,18 +108,10 @@ def _validate_matrix(value, path: str) -> list[list[float]]:
     return rows
 
 
-def _validate_declared_types(value, path: str, dim: int) -> list[list[str]]:
-    if not isinstance(value, list) or len(value) != dim:
-        raise ConfigError(f"{path} must have {dim} rows of signs")
-    rows = []
-    for i, row in enumerate(value, start=1):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ConfigError(f"{path} row {i} must have {dim} entries")
-        for v in row:
-            if v not in ("+", "-", "0"):
-                raise ConfigError(f"{path} row {i} entries must be '+', '-', or '0'")
-        rows.append(list(row))
-    return rows
+def _as_sign(value, path: str) -> str:
+    if value not in ("+", "-", "0"):
+        raise ConfigError(f"{path} entries must be '+', '-', or '0'")
+    return value
 
 
 def _validate_map(obj, path: str, dim: int) -> dict:
@@ -123,7 +121,7 @@ def _validate_map(obj, path: str, dim: int) -> dict:
         raise ConfigError(f"missing key {path}.kind")
     declared = None
     if "declared_types" in obj:
-        declared = _validate_declared_types(obj["declared_types"], f"{path}.declared_types", dim)
+        declared = _as_rows(obj["declared_types"], f"{path}.declared_types", dim, _as_sign)
     if kind == "moebius":
         _check_keys(obj, path, ("kind", "a", "b", "c", "d", "declared_types"), ("a", "b", "c", "d"))
         if dim != 1:
@@ -133,14 +131,7 @@ def _validate_map(obj, path: str, dim: int) -> dict:
             out[key] = _as_float(obj[key], f"{path}.{key}")
     else:
         _check_keys(obj, path, ("kind", "matrix", "offset", "declared_types"), ("matrix", "offset"))
-        matrix = obj["matrix"]
-        if not isinstance(matrix, list) or len(matrix) != dim:
-            raise ConfigError(f"{path}.matrix must have {dim} rows")
-        rows = []
-        for i, row in enumerate(matrix, start=1):
-            if not isinstance(row, list) or len(row) != dim:
-                raise ConfigError(f"{path}.matrix row {i} must have {dim} entries")
-            rows.append([_as_float(v, f"{path}.matrix row {i}") for v in row])
+        rows = _as_rows(obj["matrix"], f"{path}.matrix", dim, _as_float)
         offset = _as_number_list(obj["offset"], f"{path}.offset")
         if len(offset) != dim:
             raise ConfigError(f"{path}.offset must have {dim} entries")

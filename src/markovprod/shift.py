@@ -81,11 +81,14 @@ def _levels(A: np.ndarray) -> np.ndarray:
     return level
 
 
-def _irreducible_levels(A: np.ndarray) -> np.ndarray | None:
-    """The level map of A when both A and its transpose reach every state
-    from state 1, that is, when the chain is irreducible; None otherwise."""
+def _classify(A: np.ndarray) -> str:
+    """The class of the chain whose positive-entry digraph is A: reducible
+    unless the level maps of A and of its transpose reach every state."""
     level = _levels(A)
-    return level if level.min() >= 0 and _levels(A.T).min() >= 0 else None
+    if level.min() < 0 or _levels(A.T).min() < 0:
+        return REDUCIBLE
+    i, j = np.nonzero(A)
+    return PRIMITIVE if np.gcd.reduce(level[i] + 1 - level[j]) == 1 else IRREDUCIBLE
 
 
 def classify_matrix(matrix) -> str:
@@ -98,24 +101,11 @@ def classify_matrix(matrix) -> str:
     networks and powers of nonnegative matrices*): "primitive" when it is
     1, "irreducible-not-primitive" otherwise.
     """
-    A = as_transition_matrix(matrix) > 0.0
-    level = _irreducible_levels(A)
-    if level is None:
-        return REDUCIBLE
-    i, j = np.nonzero(A)
-    return PRIMITIVE if np.gcd.reduce(level[i] + 1 - level[j]) == 1 else IRREDUCIBLE
+    return _classify(as_transition_matrix(matrix) > 0.0)
 
 
-def stationary_vector(matrix) -> np.ndarray:
-    """Solve p P = p, sum(p) = 1 for an irreducible row-stochastic P.
-
-    Direct solve of the transposed balance equations with the normalization
-    replacing one redundant row.  The residual max|pP - p| is checked against
-    1e-12 before returning.
-    """
-    P = as_transition_matrix(matrix)
-    if _irreducible_levels(P > 0.0) is None:
-        raise NotIrreducible("stationary vector requires an irreducible matrix")
+def _solve(P: np.ndarray) -> np.ndarray:
+    """The stationary vector of a validated irreducible P, checked."""
     k = P.shape[0]
     A = P.T - np.eye(k)
     A[-1, :] = 1.0
@@ -134,6 +124,19 @@ def stationary_vector(matrix) -> np.ndarray:
     return p
 
 
+def stationary_vector(matrix) -> np.ndarray:
+    """Solve p P = p, sum(p) = 1 for an irreducible row-stochastic P.
+
+    Direct solve of the transposed balance equations with the normalization
+    replacing one redundant row.  The residual max|pP - p| is checked against
+    1e-12 before returning.
+    """
+    P = as_transition_matrix(matrix)
+    if _classify(P > 0.0) == REDUCIBLE:
+        raise NotIrreducible("stationary vector requires an irreducible matrix")
+    return _solve(P)
+
+
 def stationary_vector_power(matrix, tol: float = 1e-14, max_iter: int = 200_000) -> np.ndarray:
     """Stationary vector by damped power iteration; independent of the solver.
 
@@ -141,7 +144,7 @@ def stationary_vector_power(matrix, tol: float = 1e-14, max_iter: int = 200_000)
     converges for every irreducible matrix, periodic ones included.
     """
     P = as_transition_matrix(matrix)
-    if _irreducible_levels(P > 0.0) is None:
+    if _classify(P > 0.0) == REDUCIBLE:
         raise NotIrreducible("stationary vector requires an irreducible matrix")
     k = P.shape[0]
     lazy = 0.5 * (P + np.eye(k))
@@ -155,15 +158,8 @@ def stationary_vector_power(matrix, tol: float = 1e-14, max_iter: int = 200_000)
     raise NumericalFailure(f"power iteration did not converge within {max_iter} steps")
 
 
-def inverse_transition(matrix, p=None) -> np.ndarray:
-    """Time-reversed matrix q_ij = (p_j / p_i) p_ji for stationary p.
-
-    Row-stochasticity of the result is equivalent to stationarity of p, so it
-    is checked and certified here.  Applying the operation twice gives back
-    the original matrix.
-    """
-    P = as_transition_matrix(matrix)
-    p = stationary_vector(P) if p is None else np.asarray(p, dtype=float)
+def _reverse(P: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The time reversal of a validated P for p, checked."""
     if p.shape != (P.shape[0],):
         raise InvalidMatrix(f"stationary vector shape {p.shape} does not match matrix {P.shape}")
     if not np.all(p > 0.0):
@@ -177,6 +173,17 @@ def inverse_transition(matrix, p=None) -> np.ndarray:
     Q = np.clip(Q, 0.0, 1.0)
     Q.setflags(write=False)
     return Q
+
+
+def inverse_transition(matrix, p=None) -> np.ndarray:
+    """Time-reversed matrix q_ij = (p_j / p_i) p_ji for stationary p.
+
+    Row-stochasticity of the result is equivalent to stationarity of p, so it
+    is checked and certified here.  Applying the operation twice gives back
+    the original matrix.
+    """
+    P = as_transition_matrix(matrix)
+    return _reverse(P, stationary_vector(P) if p is None else np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -212,14 +219,14 @@ class MarkovShiftSpec:
 
 
 def build_shift(matrix) -> MarkovShiftSpec:
-    """Validate, classify, and close a transition matrix under time reversal."""
+    """Validate, classify, and close a transition matrix under time reversal:
+    one validation and one pair of level maps."""
     P = as_transition_matrix(matrix)
-    classification = classify_matrix(P)
+    classification = _classify(P > 0.0)
     if classification == REDUCIBLE:
         raise NotIrreducible("shift spec requires an irreducible matrix")
-    p = stationary_vector(P)
-    Q = inverse_transition(P, p)
-    return MarkovShiftSpec(P=P, p=p, Q=Q, classification=classification)
+    p = _solve(P)
+    return MarkovShiftSpec(P=P, p=p, Q=_reverse(P, p), classification=classification)
 
 
 def check_word(word: Word, k: int, allow_empty: bool = True) -> Word:

@@ -17,7 +17,9 @@ under every further composition of system maps.  Provides:
 - search_witness: smallest-first deterministic enumeration of word pairs
 - normalize_witness: turn a witness into an equal-length pair of words that
   is admissible for the inverse measure and starts at a common symbol, the
-  form consumed by the cylinder-enumeration oracle
+  form consumed by the cylinder-enumeration oracle; its connector paths
+  come from exact-length frontiers, the chain's breadth-first step run
+  backwards from each connector end
 """
 
 from __future__ import annotations
@@ -343,22 +345,13 @@ def search_witness(sys: MapSystem, max_len: int) -> SplitWitness | None:
     return None
 
 
-def _boolean_powers(P: np.ndarray, cap: int) -> list[np.ndarray]:
-    A = P > 0.0
-    powers = [np.eye(A.shape[0], dtype=bool), A]
-    for _ in range(cap - 1):
-        powers.append(powers[-1] @ A)
-    return powers
-
-
-def _lex_min_path(powers: list[np.ndarray], source: int, target: int, edges: int) -> list[int]:
-    """Lexicographically smallest admissible path with exactly `edges` edges,
-    which the caller has checked exists (`powers[edges]`)."""
+def _lex_min_path(A: np.ndarray, into: list[np.ndarray], source: int, edges: int) -> list[int]:
+    """Lexicographically smallest admissible path with exactly `edges` edges
+    from `source` to the end of `into`, which the caller has checked exists
+    (`into[edges]`): each step takes the first successor that can finish."""
     path = [source]
-    for step in range(edges):
-        remaining = edges - step - 1
-        path.append(next(v for v in range(1, powers[1].shape[0] + 1)
-                         if powers[1][path[-1] - 1, v - 1] and powers[remaining][v - 1, target - 1]))
+    for remaining in range(edges - 1, -1, -1):
+        path.append(int(np.flatnonzero(A[path[-1] - 1] & into[remaining])[0]) + 1)
     return path
 
 
@@ -394,29 +387,35 @@ def normalize_witness(
     ra, rb = tuple(reversed(word_a)), tuple(reversed(word_b))
     la, lb = len(ra), len(rb)
     cap = shift.k * shift.k
+    states = np.arange(1, shift.k + 1)
 
     if mode == PRIMITIVE_MODE:
         if shift.classification != PRIMITIVE:
             raise NotPrimitive("primitive-mode normalization requires a primitive shift")
         if la == lb and not strict_endpoints:
             return NormalizedPair(xi=ra, eta=rb, endpoint_matched=ra[-1] == rb[-1])
-        ends = range(1, shift.k + 1)
+        sources, ends = states > 0, (word_a[0], word_b[0])
     elif mode == ROW_POSITIVE_MODE:
-        ends = (row_positive_state(shift),)
+        u = row_positive_state(shift)
+        sources, ends = states == word_a[-1], (u, u)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     head = mode == ROW_POSITIVE_MODE
-    # Connectors have at most cap + |la - lb| edges, all within `powers`.  Both
-    # modes need a primitive chain (a row-positive state has a self-loop), so
-    # by Wielandt's bound both connectors exist once each has cap edges.
-    powers = _boolean_powers(shift.P, cap + abs(la - lb) + 1)
+    # A tail connector runs from any state to the word's first symbol, a head
+    # from the shared last symbol to u.  into[w][r] masks the states with a
+    # path of exactly r edges to word w's end, grown by the chain's frontier
+    # step run backwards.  Both modes need a primitive chain (a row-positive
+    # state has a self-loop), so by Wielandt's bound both connectors exist
+    # once each has cap edges.
+    A = shift.P > 0.0
+    into = [[states == end] for end in ends]
     for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
         edges = (n_total - la, n_total - lb)
-        for u in ends:
-            # A head runs from the shared last witness symbol to u, a tail
-            # from u to the witness' first symbol.
-            links = [(w[-1], u) if head else (u, w[0]) for w in (word_a, word_b)]
-            if all(powers[e][a - 1, b - 1] for e, (a, b) in zip(edges, links)):
-                paths = [tuple(reversed(_lex_min_path(powers, a, b, e))) for e, (a, b) in zip(edges, links)]
-                xi, eta = (p + r[1:] if head else r[:-1] + p for p, r in zip(paths, (ra, rb)))
-                return NormalizedPair(xi=xi, eta=eta, endpoint_matched=xi[-1] == eta[-1])
+        for masks, e in zip(into, edges):
+            while len(masks) <= e:
+                masks.append(A[:, masks[-1]].any(axis=1))
+        found = np.flatnonzero(sources & into[0][edges[0]] & into[1][edges[1]])
+        if found.size:
+            paths = [tuple(reversed(_lex_min_path(A, m, int(found[0]) + 1, e))) for m, e in zip(into, edges)]
+            xi, eta = (p + r[1:] if head else r[:-1] + p for p, r in zip(paths, (ra, rb)))
+            return NormalizedPair(xi=xi, eta=eta, endpoint_matched=xi[-1] == eta[-1])

@@ -266,6 +266,10 @@ def _system(**changes) -> dict:
     return system
 
 
+def _affine(**changes) -> dict:
+    return {"kind": "affine", "matrix": [[0.5]], "offset": [0.25], **changes}
+
+
 SYSTEM_REJECTIONS = [
     (_system(transition_matrix=[[0.5, "0.5"], [0.2, 0.8]]), "system.transition_matrix row 1 must be a number"),
     (_system(transition_matrix=[[0.5, 0.5], [0.2, 0.7]]),
@@ -285,6 +289,20 @@ SYSTEM_REJECTIONS = [
      "system.transition_matrix row 1 has an entry outside [0, 1]"),
     # Every row's entries are type-checked before any row-sum rule runs.
     (_system(transition_matrix=[[0.5, 0.6], [0.5, "0.5"]]), "system.transition_matrix row 2 must be a number"),
+    # One square-rows check serves the chain, an affine map's matrix and
+    # declared sign tables alike.
+    (_system(transition_matrix=[]), "system.transition_matrix must be a nonempty array of rows"),
+    (_system(transition_matrix=[[1.0], [0.5, 0.5]]), "system.transition_matrix row 1 must have 2 entries"),
+    (_system(maps=[_affine(matrix=[[0.5], [0.5]]), _affine()]), "system.maps[0].matrix must have 1 rows"),
+    (_system(maps=[_affine(), _affine(matrix=[[0.5, 0.1]])]), "system.maps[1].matrix row 1 must have 1 entries"),
+    (_system(maps=[_affine(matrix=[["0.5"]]), _affine()]), "system.maps[0].matrix row 1 must be a number"),
+    (_system(maps=[_affine(declared_types=[["+"], ["+"]]), _affine()]),
+     "system.maps[0].declared_types must have 1 rows"),
+    (_system(maps=[_affine(declared_types="+"), _affine()]), "system.maps[0].declared_types must have 1 rows"),
+    (_system(maps=[_affine(declared_types=[["+", "-"]]), _affine()]),
+     "system.maps[0].declared_types row 1 must have 1 entries"),
+    (_system(maps=[_affine(declared_types=[["x"]]), _affine()]),
+     "system.maps[0].declared_types row 1 entries must be '+', '-', or '0'"),
 ]
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from golden_diff import THREE_STATE, compare_dirs, extra_invocations  # noqa: E402
+from golden_diff import THREE_STATE, WIELANDT, compare_dirs, extra_invocations  # noqa: E402
 from markovprod.config import experiment_block, load_config  # noqa: E402
 
 
@@ -60,6 +60,7 @@ def test_extra_runs_change_keys_of_a_shipped_config(tmp_path):
         "ergodic-product-diagonal_2d": "ergodic",
         "split-row-positive-cantor_markov": "split-search",
         "split-strict-cantor_markov": "split-search",
+        "split-strict-wielandt-cantor_markov": "split-search",
         "ergodic-three-state-cantor_markov": "ergodic",
         "sync-three-state-cantor_markov": "sync",
         "weak-hyp-three-state-cantor_markov": "weak-hyp",
@@ -94,3 +95,18 @@ def test_three_state_runs_replace_the_system_block(tmp_path):
         assert changed["system"]["transition_matrix"] == THREE_STATE["transition_matrix"]
         assert [m["kind"] for m in changed["system"]["maps"]] == ["moebius", "moebius", "affine"]
         assert {**shipped, "system": changed["system"]} == changed
+
+
+def test_wielandt_run_forces_tail_connectors_on_three_states(tmp_path):
+    # THREE_STATE's maps on the chain 1 -> 2 -> 3 -> {1, 2}, whose strict
+    # normalization needs connectors of more than one edge; every other
+    # block stays cantor_markov's, with strict endpoints forced.
+    [inv] = [inv for inv in extra_invocations(tmp_path) if "wielandt" in inv.label]
+    shipped = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "cantor_markov.json"))
+    changed = load_config(str(inv.config))
+    assert WIELANDT["maps"] == THREE_STATE["maps"]
+    assert changed["system"]["transition_matrix"] == [[0, 1, 0], [0, 0, 1], [0.5, 0.5, 0]]
+    assert [m["kind"] for m in changed["system"]["maps"]] == ["moebius", "moebius", "affine"]
+    split = experiment_block(shipped["experiments"], "split")
+    shipped["experiments"]["split"] = {**split, "strict_endpoints": True}
+    assert {**shipped, "system": changed["system"]} == changed

@@ -1942,8 +1942,29 @@ def test_batch_compositions_read_every_table_layout_alike(factory):
 # --- chain rules with one home in `shift` -------------------------------------
 
 
+def ref_boolean_powers(P, cap):
+    """The Boolean powers A^0 .. A^cap of the chain's positive digraph."""
+    A = P > 0.0
+    powers = [np.eye(A.shape[0], dtype=bool), A]
+    for _ in range(cap - 1):
+        powers.append(powers[-1] @ A)
+    return powers
+
+
+def ref_lex_min_path(powers, source, target, edges):
+    """Lexicographically smallest admissible path with exactly `edges` edges,
+    read off the Boolean powers."""
+    path = [source]
+    for step in range(edges):
+        remaining = edges - step - 1
+        path.append(next(v for v in range(1, powers[1].shape[0] + 1)
+                         if powers[1][path[-1] - 1, v - 1] and powers[remaining][v - 1, target - 1]))
+    return path
+
+
 def ref_normalize_witness(sys, witness, mode=splitting.PRIMITIVE_MODE, *, strict_endpoints=False):
-    """normalize_witness as the two connector loops it was."""
+    """normalize_witness as the two connector loops it was, over every
+    Boolean power of the chain up to the longest connector."""
     shift = sys.shift
     word_a, word_b = splitting._validate_pair(sys, witness.word_a, witness.word_b)
     ra, rb = tuple(reversed(word_a)), tuple(reversed(word_b))
@@ -1956,15 +1977,15 @@ def ref_normalize_witness(sys, witness, mode=splitting.PRIMITIVE_MODE, *, strict
             raise NotPrimitive("primitive-mode normalization requires a primitive shift")
         if la == lb and not strict_endpoints:
             return NormalizedPair(xi=ra, eta=rb, endpoint_matched=ra[-1] == rb[-1])
-        powers = splitting._boolean_powers(shift.P, cap + abs(la - lb) + 1)
+        powers = ref_boolean_powers(shift.P, cap + abs(la - lb) + 1)
         for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
             ea, eb = n_total - la, n_total - lb
             if max(ea, eb) >= len(powers):
                 break
             for u in range(1, k + 1):
                 if powers[ea][u - 1, word_a[0] - 1] and powers[eb][u - 1, word_b[0] - 1]:
-                    path_a = splitting._lex_min_path(powers, u, word_a[0], ea)
-                    path_b = splitting._lex_min_path(powers, u, word_b[0], eb)
+                    path_a = ref_lex_min_path(powers, u, word_a[0], ea)
+                    path_b = ref_lex_min_path(powers, u, word_b[0], eb)
                     xi = ra + tuple(reversed(path_a[:-1]))
                     eta = rb + tuple(reversed(path_b[:-1]))
                     return NormalizedPair(xi=xi, eta=eta, endpoint_matched=True)
@@ -1975,15 +1996,15 @@ def ref_normalize_witness(sys, witness, mode=splitting.PRIMITIVE_MODE, *, strict
         if not row_positive:
             raise NoRowPositiveState("no state has a strictly positive transition row")
         u = row_positive[0]
-        powers = splitting._boolean_powers(shift.P, cap + abs(la - lb) + 1)
+        powers = ref_boolean_powers(shift.P, cap + abs(la - lb) + 1)
         shared_last = word_a[-1]
         for n_total in range(max(la, lb) + 1, max(la, lb) + cap + 1):
             ea, eb = n_total - la, n_total - lb
             if max(ea, eb) >= len(powers):
                 break
             if powers[ea][shared_last - 1, u - 1] and powers[eb][shared_last - 1, u - 1]:
-                path_a = splitting._lex_min_path(powers, shared_last, u, ea)
-                path_b = splitting._lex_min_path(powers, shared_last, u, eb)
+                path_a = ref_lex_min_path(powers, shared_last, u, ea)
+                path_b = ref_lex_min_path(powers, shared_last, u, eb)
                 xi = (u,) + tuple(reversed(path_a[1:-1])) + ra
                 eta = (u,) + tuple(reversed(path_b[1:-1])) + rb
                 return NormalizedPair(xi=xi, eta=eta, endpoint_matched=ra[-1] == rb[-1])
@@ -2041,6 +2062,68 @@ def test_connector_search_matches_the_two_loops(k):
     assert {(m, "pair") for m in MODES_TRIED[:2]} <= seen
     assert {(MODES_TRIED[0], NotPrimitive), (MODES_TRIED[1], NoRowPositiveState),
             (MODES_TRIED[2], ValueError)} <= seen
+
+
+def wielandt_chain(k):
+    """i -> i + 1, k -> 1 and k -> 2: primitive with exponent (k - 1)^2 + 1,
+    the largest of any k-state chain, and no row-positive state."""
+    P = np.eye(k, k, 1)
+    P[-1, :2] = 0.5
+    return P
+
+
+def admissible_words(P, n):
+    """Every admissible word of n symbols, extended along the positive entries."""
+    words = [(a,) for a in range(1, len(P) + 1)]
+    for _ in range(n - 1):
+        words = [w + (b,) for w in words for b in (np.flatnonzero(P[w[-1] - 1] > 0.0) + 1).tolist()]
+    return words
+
+
+def test_connector_search_matches_the_two_loops_on_wielandt_chains():
+    # The chains with the largest exponent, (k - 1)^2 + 1, and no
+    # row-positive state: 56 witnesses of 1 to 6 symbols per chain, k = 3 .. 9,
+    # in both modes with and without strict endpoints.  Half of the cases
+    # are primitive-mode pairs, whose longer connectors reach 8 edges.
+    cases, pairs, longest = 0, 0, 0
+    for k in range(3, 10):
+        rng = np.random.default_rng(k)
+        P = wielandt_chain(k)
+        sys = MapSystem(shift=build_shift(P.tolist()), maps=(AffineMap(((0.5,),), (0.25,)),) * k, ambient=UNIT)
+        by_last = {}
+        for n in range(1, 7):
+            for w in admissible_words(P, n):
+                by_last.setdefault((n, w[-1]), []).append(w)
+        for _ in range(56):
+            la, lb = rng.integers(1, 7, size=2)
+            last = rng.choice([a for a in range(1, k + 1) if (la, a) in by_last and (lb, a) in by_last])
+            word_a, word_b = (ws[rng.integers(len(ws))] for ws in (by_last[la, last], by_last[lb, last]))
+            witness = splitting.SplitWitness(word_a, word_b, sys.ambient, sys.ambient, "random")
+            for mode, strict in product(MODES_TRIED[:2], (False, True)):
+                new = either_outcome(splitting.normalize_witness, sys, witness, mode, strict_endpoints=strict)
+                ref = either_outcome(ref_normalize_witness, sys, witness, mode, strict_endpoints=strict)
+                assert new == ref, (k, word_a, word_b, mode, strict)
+                cases += 1
+                if isinstance(new, NormalizedPair):
+                    pairs += 1
+                    longest = max(longest, new.block_length - min(la, lb))
+    assert cases >= 1500 and pairs >= 750 and longest >= 8
+
+
+def test_strict_normalization_of_a_60_state_lazy_cycle_stays_small():
+    # The powers version held all 3,601 Boolean powers of 60 x 60 at once,
+    # a 12.8 MiB peak; each frontier mask is 60 bytes, one per connector edge.
+    sys = MapSystem(shift=build_shift(lazy_cycle(60).tolist()), maps=(AffineMap(((0.5,),), (0.25,)),) * 60,
+                    ambient=UNIT)
+    witness = splitting.SplitWitness((1, 2, 3), (58, 59, 60, 1, 2, 3), sys.ambient, sys.ambient, "random")
+    tracemalloc.start()
+    try:
+        pair = splitting.normalize_witness(sys, witness, strict_endpoints=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert pair == ref_normalize_witness(sys, witness, strict_endpoints=True)
 
 
 def leaves_of(fields):

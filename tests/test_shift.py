@@ -27,6 +27,7 @@ from markovprod import (
     stationary_vector,
     stationary_vector_power,
 )
+from markovprod import shift as shift_module
 from markovprod.shift import as_transition_matrix
 
 MARKOV = [[0.9, 0.1], [0.2, 0.8]]
@@ -103,6 +104,25 @@ def test_classify_identity_reducible():
 def test_build_shift_rejects_reducible():
     with pytest.raises(NotIrreducible):
         build_shift([[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("matrix", [MARKOV, THREE_CYCLE, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]])
+def test_build_shift_validates_once_and_levels_each_direction_once(monkeypatch, matrix):
+    calls = []
+    for name in ("as_transition_matrix", "_levels"):
+        def wrapped(M, real=getattr(shift_module, name), name=name):
+            calls.append((name, np.array(M)))
+            return real(M)
+
+        monkeypatch.setattr(shift_module, name, wrapped)
+    spec = build_shift(matrix)
+    assert [name for name, _ in calls] == ["as_transition_matrix", "_levels", "_levels"]
+    A = calls[0][1] > 0.0
+    assert np.array_equal(calls[1][1], A) and np.array_equal(calls[2][1], A.T)
+    monkeypatch.undo()
+    assert spec.classification == classify_matrix(matrix)
+    assert spec.p.tolist() == stationary_vector(matrix).tolist()
+    assert spec.Q.tolist() == inverse_transition(matrix).tolist()
 
 
 # --- stationary vector --------------------------------------------------

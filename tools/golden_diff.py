@@ -15,8 +15,9 @@ tree, and for each seed in `SEEDS`, the tool runs `python -m markovprod.cli`:
   reaches: the float oracle, the oracle on a 2-D system, the sampled-prefix
   horizon walk, an exhaustive horizon walk in 2-D whose frontier spans
   many blocks, a 2-D ergodic average that reads both coordinates, both
-  connector searches of the split normalization, and the chain walks and
-  orbit of a 3-state system with two map classes.
+  connector searches of the split normalization, a tail connector of
+  several edges on a 3-state chain, and the chain walks and orbit of a
+  3-state system with two map classes.
 
 Both trees run the same workload and extra config files, written once from
 this checkout; an invocation that repeats a shipped-config run of the tree
@@ -54,9 +55,12 @@ SEEDS = (0, 1)
 # times as many blocks.  The shipped 2-D ergodic run reads coordinate 1 only,
 # so one entry byte-compares the second coordinate of the 2-D orbit.  Every
 # shipped split block normalizes an equal-length witness in the primitive
-# mode, which takes no connector, so the last two entries byte-compare the
-# head connector of the row-positive mode and the tail connector that
-# `strict_endpoints` forces.
+# mode, which takes no connector, so the three split-search entries
+# byte-compare the head connector of the row-positive mode and the tail
+# connector that `strict_endpoints` forces.  Those connectors are on 2 states; the
+# Wielandt entry swaps in `WIELANDT` (THREE_STATE's maps on the 3-state
+# chain 1 -> 2 -> 3 -> {1, 2}), where `strict_endpoints` adds tail
+# connectors of 3 and 2 edges to the witness (1, 2) / (2, 3, 2).
 # No extra run is needed for the orbit's settle: at each of `SEEDS` the
 # shipped cantor_markov `all` run steps some of its lanes again
 # (`test_shipped_markov_orbit_reruns_lanes`), so it byte-compares that path.
@@ -78,6 +82,7 @@ THREE_STATE = {
         {"kind": "affine", "matrix": [[0.5]], "offset": [0.25]},
     ],
 }
+WIELANDT = {**THREE_STATE, "transition_matrix": [[0, 1, 0], [0, 0, 1], [0.5, 0.5, 0]]}
 EXTRA_RUNS = (
     ("oracle-float-cantor_markov", "oracle", "cantor_markov.json", {"oracle": {"exact": False}}),
     ("oracle-float-s2-diagonal_2d", "oracle", "diagonal_2d.json", {"oracle": {"exact": False, "s": 2}}),
@@ -88,6 +93,8 @@ EXTRA_RUNS = (
     ("split-row-positive-cantor_markov", "split-search", "cantor_markov.json",
      {"split": {"normalize_mode": "row-positive"}}),
     ("split-strict-cantor_markov", "split-search", "cantor_markov.json", {"split": {"strict_endpoints": True}}),
+    ("split-strict-wielandt-cantor_markov", "split-search", "cantor_markov.json",
+     {"system": WIELANDT, "split": {"strict_endpoints": True}}),
     ("ergodic-three-state-cantor_markov", "ergodic", "cantor_markov.json", {"system": THREE_STATE}),
     ("sync-three-state-cantor_markov", "sync", "cantor_markov.json", {"system": THREE_STATE}),
     ("weak-hyp-three-state-cantor_markov", "weak-hyp", "cantor_markov.json", {"system": THREE_STATE}),
